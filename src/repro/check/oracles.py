@@ -1,7 +1,8 @@
 """Global invariant oracles for the polyvalue protocol.
 
-Each oracle inspects a whole :class:`~repro.txn.system.DistributedSystem`
-and renders a :class:`Verdict`.  Two evaluation points exist:
+Each oracle inspects a whole :class:`~repro.txn.cluster.Cluster` — the
+simulator's ``DistributedSystem`` or a socket ``LiveCluster`` — and
+renders a :class:`Verdict`.  Two evaluation points exist:
 
 * **quiescent** — no protocol work in flight (messages, protocol
   timers); failures may still be outstanding.  The section 3
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.conditions import all_assignments
 from repro.core.errors import ConditionError, PolyvalueError
 from repro.core.polyvalue import Value, is_polyvalue
-from repro.txn.system import DistributedSystem
+from repro.txn.cluster import Cluster
 from repro.txn.transaction import TxnStatus
 from repro.workloads.runner import serial_replay
 
@@ -57,7 +58,7 @@ class CheckContext:
     it explicitly only for hand-built systems that predate the field.
     """
 
-    system: DistributedSystem
+    system: Cluster
     initial_values: Optional[Mapping[ItemId, Value]] = None
 
     def initial(self) -> Dict[ItemId, Value]:

@@ -2,7 +2,8 @@
 
 The same :mod:`repro.txn` state machines the simulator drives, stood up
 as a real localhost cluster: length-prefixed JSON protocol frames over
-TCP (:mod:`repro.live.wire`), an asyncio composition root
+TCP (:mod:`repro.live.wire`), the socket front-end of the shared
+:class:`~repro.txn.cluster.Cluster` composition root
 (:mod:`repro.live.cluster`), a stdlib HTTP/JSON control surface
 (:mod:`repro.live.httpapi`) behind ``python -m repro serve``, a
 scripted client (:mod:`repro.live.client`) behind

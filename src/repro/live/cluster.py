@@ -1,10 +1,13 @@
 """LiveCluster — N polyvalue database sites on wall-clock sockets.
 
-The live counterpart of :class:`repro.txn.system.DistributedSystem`:
-the same :class:`~repro.txn.site.DatabaseSite` /
-:class:`~repro.txn.paxos.PaxosSite` state machines, the same
-:class:`~repro.txn.runtime.SiteRuntime` services, composed over an
-:class:`~repro.runtime.aio.AsyncioRuntime` instead of the simulator.
+The socket front-end of :class:`repro.txn.cluster.Cluster`: the same
+site wiring, ``submit``, crash/recovery, observations and convergence
+predicate as the simulator's
+:class:`~repro.txn.system.DistributedSystem`, composed over an
+:class:`~repro.runtime.aio.AsyncioRuntime`.  What this module adds is
+what only wall-clock time needs: ``start``/``stop``, the polling
+``wait_*`` verbs, JSON transaction scripts and ``describe*`` payloads
+for the HTTP API, and :class:`ClusterThread` for synchronous callers.
 Timers are real ``call_later`` timers, messages are JSON frames over
 localhost TCP, and each site checkpoints its durable state to a JSON
 file after every action — so :meth:`crash`/:meth:`restart` genuinely
@@ -13,45 +16,27 @@ exercise restart-from-disk.
 Transactions arrive as JSON scripts (:mod:`repro.live.txnscript`)
 because live clients cannot ship Python callables.
 
-Path-sensitive commit stays sim-only: its pre-analysis probes execute
-the transaction *body* ahead of coordination, which the script DSL
-supports, but its local-apply convergence accounting is validated
-against the simulator's quiescence notion that has no live equivalent
-yet.  ``LIVE_PROTOCOLS`` is the supported set.
+Path-sensitive commit stays sim-only: its fast path commits at submit
+and converges through apply queues that have only been validated on the
+simulator.  ``LIVE_PROTOCOLS`` is the supported set.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.core.errors import ReproError
 from repro.core.polyvalue import Value, is_polyvalue
-from repro.core.outcome import OutcomeLog, OutcomeTable
 from repro.core.serialize import encode_value
 from repro.db.catalog import Catalog
-from repro.db.locks import LockManager
-from repro.db.store import ItemStore
-from repro.metrics.collector import MetricsCollector
 from repro.net.message import SiteId
-from repro.obs.events import EventBus
 from repro.runtime.aio import AsyncioRuntime
-from repro.txn.config import (
-    CommitProtocol,
-    ProtocolConfig,
-    config_for_protocol,
-)
-from repro.txn.paxos import DecisionBoard, PaxosSite
-from repro.txn.runtime import SiteRuntime, TransitionLog
-from repro.txn.site import DatabaseSite
+from repro.txn.cluster import Cluster
+from repro.txn.config import ProtocolConfig, config_for_protocol
 from repro.txn.timeouts import TimeoutPolicy
-from repro.txn.transaction import (
-    Transaction,
-    TransactionHandle,
-    TxnId,
-    TxnStatus,
-)
+from repro.txn.transaction import TransactionHandle, TxnId, TxnStatus
 from repro.live.txnscript import compile_script
 
 ItemId = str
@@ -69,7 +54,7 @@ def _default_items(sites: int) -> Dict[ItemId, int]:
     return {f"acct-{index}": 100 for index in range(sites * 2)}
 
 
-class LiveCluster:
+class LiveCluster(Cluster):
     """A wall-clock polyvalue cluster on localhost.
 
     Drive it from inside an asyncio event loop (``await start()`` …
@@ -99,24 +84,17 @@ class LiveCluster:
             # Live default: adaptive patience — the fixed constants are
             # sim-calibrated; real sockets get Jacobson RTT estimators.
             config = ProtocolConfig(timeout_policy=TimeoutPolicy(mode="adaptive"))
-        self.config = config_for_protocol(protocol, config)
-        self.protocol = protocol
-        self.initial_values: Dict[ItemId, Value] = dict(
-            items if items is not None else _default_items(sites)
-        )
+        if items is None:
+            items = _default_items(sites)
         site_ids = [f"site-{index}" for index in range(sites)]
-        self.catalog = Catalog.round_robin(sorted(self.initial_values), site_ids)
-        self.runtime = AsyncioRuntime(host=host, data_dir=data_dir, seed=seed)
-        self.bus = EventBus()
-        self.metrics = MetricsCollector()
-        self.transitions = TransitionLog(bus=self.bus)
-        self.decision_board: Optional[DecisionBoard] = None
-        if self.config.protocol is CommitProtocol.PAXOS:
-            self.decision_board = DecisionBoard()
-        self.sites: Dict[SiteId, DatabaseSite] = {}
-        self.handles: List[TransactionHandle] = []
+        super().__init__(
+            AsyncioRuntime(host=host, data_dir=data_dir, seed=seed),
+            catalog=Catalog.round_robin(sorted(items), site_ids),
+            initial_values=items,
+            config=config_for_protocol(protocol, config),
+        )
+        self.protocol = protocol
         self._by_txn: Dict[TxnId, TransactionHandle] = {}
-        self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -131,44 +109,13 @@ class LiveCluster:
         await self.runtime.start()
         for site_id in sorted(self.catalog.all_sites()):
             await self.runtime.listen(site_id)
-        for site_id in sorted(self.catalog.all_sites()):
-            store = ItemStore(
-                {
-                    item: self.initial_values[item]
-                    for item in self.catalog.items_at(site_id)
-                }
-            )
-            runtime = SiteRuntime(
-                site_id=site_id,
-                rt=self.runtime,
-                catalog=self.catalog,
-                store=store,
-                locks=LockManager(),
-                outcomes=OutcomeTable(),
-                outcome_log=OutcomeLog(),
-                config=self.config,
-                metrics=self.metrics,
-                transitions=self.transitions,
-                bus=self.bus,
-            )
-            if self.decision_board is not None:
-                site = PaxosSite(runtime, self.decision_board)
-            else:
-                site = DatabaseSite(runtime)
-            self.sites[site_id] = site
-            snapshot = self.runtime.load_durable(site_id)
-            if snapshot is not None:
-                site.restore_durable(snapshot)
-                site.recover()
-            self.runtime.checkpoint(site_id)
-        self._started = True
+        self._wire_sites()
 
     async def stop(self) -> None:
         """Stop maintenance loops and close every socket."""
         for site in self.sites.values():
             site.shutdown()
         await self.runtime.close()
-        self._started = False
 
     # ------------------------------------------------------------------
     # Client surface
@@ -177,149 +124,67 @@ class LiveCluster:
         self, script: Mapping[str, Any], *, at: Optional[SiteId] = None
     ) -> TransactionHandle:
         """Submit a JSON transaction script; returns its handle."""
-        return self.submit(compile_script(script), at=at)
-
-    def submit(
-        self, transaction: Transaction, *, at: Optional[SiteId] = None
-    ) -> TransactionHandle:
-        """Submit *transaction*, coordinated at *at* (default: the home
-        site of its first declared item).  Same contract as
-        :meth:`DistributedSystem.submit`, including the immediate abort
-        when the coordinator is down."""
-        if not self._started:
+        if not self.sites:
             raise LiveClusterError("cluster is not started")
-        coordinator = (
-            at if at is not None else self.catalog.site_of(transaction.items[0])
-        )
-        if coordinator not in self.sites:
-            raise LiveClusterError(f"unknown site {coordinator!r}")
-        site = self.sites[coordinator]
-        handle = TransactionHandle(
-            txn="?",
-            transaction=transaction,
-            submitted_at=self.runtime.now,
-        )
-        self.handles.append(handle)
-        if not site.is_up:
-            handle.txn = f"unsent@{coordinator}"
-            handle.was_delayed_by_failure = True
-            handle.mark_aborted(
-                self.runtime.now, f"coordinator site {coordinator} is down"
-            )
-            self.metrics.txn_submitted(site=coordinator)
-            self.metrics.txn_aborted(site=coordinator)
-            return handle
-        txn = site.submit(transaction, handle)
-        self._by_txn[txn] = handle
-        # begin() consumed a durable sequence number and possibly logged
-        # state; submit runs outside the runtime's own checkpoint
-        # wrappers, so persist explicitly.
-        self.runtime.checkpoint(coordinator)
+        if at is not None:
+            self._known(at)
+        handle = self.submit(compile_script(script), at=at)
+        self._by_txn[handle.txn] = handle
         return handle
-
-    def handle_of(self, txn: TxnId) -> Optional[TransactionHandle]:
-        """The handle for *txn* (None if unknown)."""
-        return self._by_txn.get(txn)
 
     async def wait_decided(
         self, handle: TransactionHandle, *, timeout: float = 10.0
     ) -> bool:
         """Poll until *handle* is decided; False on timeout."""
-        deadline = self.runtime.now + timeout
-        while handle.status is TxnStatus.PENDING:
-            if self.runtime.now >= deadline:
-                return False
-            await asyncio.sleep(0.005)
-        return True
+        return await self._poll(
+            lambda: handle.status is not TxnStatus.PENDING, timeout, 0.005
+        )
 
     async def wait_converged(self, *, timeout: float = 10.0) -> bool:
-        """Poll until no polyvalues, residue, or pending handles remain."""
+        """Poll until the cluster has :meth:`converged`; False on timeout."""
+        return await self._poll(self.converged, timeout, 0.02)
+
+    async def _poll(
+        self, done: Callable[[], bool], timeout: float, ceiling: float
+    ) -> bool:
+        """Re-check *done* until it holds or *timeout* passes.
+
+        The first re-checks only yield to the loop, so a condition a few
+        callbacks away costs no fixed sleep; after that the interval
+        doubles from 0.5 ms up to *ceiling*.
+        """
         deadline = self.runtime.now + timeout
-        while True:
-            if (
-                self.total_polyvalues() == 0
-                and self.total_protocol_residue() == 0
-                and not self.pending_handles()
-            ):
-                return True
+        yields, delay = 8, 0.0005
+        while not done():
             if self.runtime.now >= deadline:
                 return False
-            await asyncio.sleep(0.02)
+            if yields:
+                yields -= 1
+                await asyncio.sleep(0)
+            else:
+                await asyncio.sleep(delay)
+                delay = min(ceiling, delay * 2)
+        return True
 
     # ------------------------------------------------------------------
     # Failure injection
 
     def crash(self, site_id: SiteId) -> None:
-        """Fail-stop *site*: volatile state lost, its traffic dropped.
-
-        Undecided transactions it coordinated are presumed aborted —
-        the same contract as :meth:`DistributedSystem.crash_site`.
-        """
-        site = self._site(site_id)
-        self.runtime.mark_down(site_id)
-        undecided = site.crash()
-        for handle in undecided:
-            if handle.status is TxnStatus.PENDING:
-                handle.was_delayed_by_failure = True
-                handle.mark_aborted(
-                    self.runtime.now, "coordinator crashed; presumed abort"
-                )
-                self.metrics.txn_aborted(site=site_id)
+        """Fail-stop *site_id* (see :meth:`Cluster.crash_site`)."""
+        self.crash_site(self._known(site_id))
 
     def restart(self, site_id: SiteId) -> None:
-        """Restart *site* from its durable checkpoint file.
+        """Restart *site_id* from its durable checkpoint file (see
+        :meth:`Cluster.recover_site`)."""
+        self.recover_site(self._known(site_id))
 
-        On a durable runtime the in-memory durable structures are
-        overwritten from disk first — the restart path truly goes
-        through the file.  Without a data dir this degrades to the
-        simulator's recovery semantics (durable attributes survive in
-        memory).
-        """
-        site = self._site(site_id)
-        snapshot = self.runtime.load_durable(site_id)
-        if snapshot is not None:
-            site.restore_durable(snapshot)
-        self.runtime.mark_up(site_id)
-        site.recover()
-        self.runtime.checkpoint(site_id)
-
-    def _site(self, site_id: SiteId) -> DatabaseSite:
-        try:
-            return self.sites[site_id]
-        except KeyError:
-            raise LiveClusterError(f"unknown site {site_id!r}") from None
+    def _known(self, site_id: SiteId) -> SiteId:
+        if site_id not in self.sites:
+            raise LiveClusterError(f"unknown site {site_id!r}")
+        return site_id
 
     # ------------------------------------------------------------------
-    # Observations (mirrors the DistributedSystem surface)
-
-    def read_item(self, item: ItemId) -> Value:
-        return self.sites[self.catalog.site_of(item)].store.read(item)
-
-    def database_state(self) -> Dict[ItemId, Value]:
-        state: Dict[ItemId, Value] = {}
-        for site in self.sites.values():
-            state.update(site.store.all_values())
-        return state
-
-    def total_polyvalues(self) -> int:
-        return sum(site.polyvalue_count() for site in self.sites.values())
-
-    def total_protocol_residue(self) -> int:
-        return sum(site.protocol_residue() for site in self.sites.values())
-
-    def pending_handles(self) -> List[TransactionHandle]:
-        return [
-            handle
-            for handle in self.handles
-            if handle.status is TxnStatus.PENDING
-        ]
-
-    def down_sites(self) -> List[SiteId]:
-        return sorted(
-            site_id
-            for site_id, site in self.sites.items()
-            if not site.is_up
-        )
+    # JSON views (the HTTP API's payloads)
 
     def describe(self) -> Dict[str, Any]:
         """A JSON-safe status summary (the HTTP ``/state`` payload)."""

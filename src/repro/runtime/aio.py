@@ -29,6 +29,10 @@ The live transport (stdlib only):
   delivered envelopes — the live analogue of the sim network's message
   faults, used by tests to force the wait-timeout polyvalue path over
   real sockets.
+* **Quiescence** — :meth:`quiescent` is true when every frame handed to
+  :meth:`send` has been dispatched (or lost) and no timer other than the
+  background periodics is armed: the wall-clock reading of the
+  simulator's "nothing pending but maintenance".
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from repro.core.errors import SimulationError
 from repro.net.message import Envelope, SiteId
-from repro.runtime.base import Runtime, TimerHandle
+from repro.runtime.base import BACKGROUND_LABELS, Runtime, TimerHandle
 from repro.sim.rand import Rng
 
 
@@ -66,6 +70,22 @@ class TransportStats:
             "checkpoints": self.checkpoints,
             "handler_errors": self.handler_errors,
         }
+
+
+class _ProtocolTimer:
+    """A non-background timer: counts against
+    :meth:`AsyncioRuntime.quiescent` until it fires or is cancelled."""
+
+    __slots__ = ("_armed", "handle")
+
+    def __init__(self, armed: Set["_ProtocolTimer"]) -> None:
+        self._armed = armed
+        self.handle: Optional[asyncio.TimerHandle] = None
+        armed.add(self)
+
+    def cancel(self) -> None:
+        self._armed.discard(self)
+        self.handle.cancel()
 
 
 class AsyncioRuntime(Runtime):
@@ -113,6 +133,10 @@ class AsyncioRuntime(Runtime):
         self._down: Set[SiteId] = set()
         self._snapshots: Dict[SiteId, Callable[[], Dict[str, Any]]] = {}
         self._tasks: Set = set()
+        #: What :meth:`quiescent` watches: frames sent and not yet
+        #: dispatched or lost, and armed protocol timers.
+        self._in_flight = 0
+        self._armed: Set[_ProtocolTimer] = set()
         self._fault: Optional[Callable[[Envelope], bool]] = None
         self.stats = TransportStats()
         if self.durable:
@@ -182,11 +206,27 @@ class AsyncioRuntime(Runtime):
     ) -> TimerHandle:
         if self._loop is None:
             raise SimulationError("AsyncioRuntime.schedule before start()")
-        return self._loop.call_later(
-            max(0.0, delay), self._fire_timer, action, site, label
+        timer = (
+            None
+            if label.startswith(BACKGROUND_LABELS)
+            else _ProtocolTimer(self._armed)
         )
+        handle = self._loop.call_later(
+            max(0.0, delay), self._fire_timer, action, site, label, timer
+        )
+        if timer is None:
+            return handle
+        timer.handle = handle
+        return timer
 
-    def _fire_timer(self, action: Callable[[], None], site: SiteId, label: str) -> None:
+    def _fire_timer(
+        self,
+        action: Callable[[], None],
+        site: SiteId,
+        label: str,
+        timer: Optional[_ProtocolTimer],
+    ) -> None:
+        self._armed.discard(timer)
         try:
             action()
         except Exception as exc:
@@ -213,6 +253,7 @@ class AsyncioRuntime(Runtime):
             return
         frame = len(blob).to_bytes(4, "big") + blob
         self.stats.sent += 1
+        self._in_flight += 1
         self._spawn(self._deliver(recipient, frame))
 
     def register(self, site: SiteId, handler: Callable[[Any], None]) -> None:
@@ -264,6 +305,9 @@ class AsyncioRuntime(Runtime):
     def mark_up(self, site: SiteId) -> None:
         self._down.discard(site)
 
+    def quiescent(self) -> bool:
+        return self._in_flight == 0 and not self._armed
+
     def set_fault(self, fault: Optional[Callable[[Envelope], bool]]) -> None:
         """Drop every delivered envelope for which *fault* returns True."""
         self._fault = fault
@@ -292,12 +336,12 @@ class AsyncioRuntime(Runtime):
                 if writer is None:
                     port = self._ports.get(recipient)
                     if port is None:
-                        self.stats.dropped += 1
+                        self._lose_frame()
                         return
                     try:
                         _, writer = await asyncio.open_connection(self.host, port)
                     except OSError:
-                        self.stats.dropped += 1
+                        self._lose_frame()
                         return
                     if attempt:
                         self.stats.reconnects += 1
@@ -313,7 +357,12 @@ class AsyncioRuntime(Runtime):
                     except Exception:  # pragma: no cover - teardown
                         pass
                     writer = None
-            self.stats.dropped += 1
+            self._lose_frame()
+
+    def _lose_frame(self) -> None:
+        """A sent frame that will never reach :meth:`_dispatch`."""
+        self.stats.dropped += 1
+        self._in_flight -= 1
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -341,6 +390,7 @@ class AsyncioRuntime(Runtime):
                 pass
 
     def _dispatch(self, body: bytes) -> None:
+        self._in_flight -= 1
         try:
             envelope = self._decode(body)
         except Exception as exc:

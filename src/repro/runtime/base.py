@@ -46,6 +46,14 @@ from repro.core.errors import SimulationError
 from repro.net.message import SiteId
 
 
+#: Timer-label prefixes that do not count against quiescence: the
+#: per-site outcome-maintenance loops and workload arrival streams
+#: reschedule themselves forever, so "no timers pending" never happens;
+#: "nothing pending but background periodics" is the meaningful notion
+#: of an idle system.
+BACKGROUND_LABELS = ("outcome-maintenance", "workload-arrival", "arrival")
+
+
 @runtime_checkable
 class TimerHandle(Protocol):
     """A cancellable timer.  ``sim.events.Event`` and
@@ -105,6 +113,20 @@ class Runtime:
 
     def rng(self, stream: str):
         """A deterministic named random stream (``repro.sim.rand.Rng``)."""
+        raise NotImplementedError
+
+    def mark_down(self, site: SiteId) -> None:
+        """Fail-stop *site*: drop all traffic to and from it."""
+        raise NotImplementedError
+
+    def mark_up(self, site: SiteId) -> None:
+        """Undo :meth:`mark_down`: *site*'s traffic flows again."""
+        raise NotImplementedError
+
+    def quiescent(self) -> bool:
+        """True iff no protocol work is in flight: no message sent but
+        not yet handled, and no armed timer other than the
+        :data:`BACKGROUND_LABELS` periodics."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 from repro.net.message import SiteId
 from repro.net.network import Network
-from repro.runtime.base import Runtime, TimerHandle
+from repro.runtime.base import BACKGROUND_LABELS, Runtime, TimerHandle
 from repro.sim.engine import Simulator
 from repro.sim.rand import Rng
 
@@ -59,3 +59,12 @@ class SimRuntime(Runtime):
 
     def rng(self, stream: str) -> Rng:
         return self._rng.fork(stream)
+
+    def mark_down(self, site: SiteId) -> None:
+        self.network.crash_site(site)
+
+    def mark_up(self, site: SiteId) -> None:
+        self.network.recover_site(site)
+
+    def quiescent(self) -> bool:
+        return self.sim.next_time_except(BACKGROUND_LABELS) is None

@@ -1,9 +1,12 @@
 """The top-level facade: a whole simulated distributed database.
 
-:class:`DistributedSystem` assembles the simulation engine, the
-network, and one :class:`~repro.txn.site.DatabaseSite` per site, and
-offers the client-level API the examples and benchmarks use:
+:class:`DistributedSystem` is the simulator front-end of
+:class:`~repro.txn.cluster.Cluster`: it assembles the simulation engine
+and the network, hands them to the shared composition root as a
+:class:`~repro.runtime.sim.SimRuntime`, and adds the verbs that drive
+simulated time.  The client-level API the examples and benchmarks use:
 
+>>> from repro.txn.transaction import Transaction
 >>> system = DistributedSystem.build(
 ...     sites=3, items={"a": 10, "b": 20}, seed=42)
 >>> handle = system.submit(Transaction(
@@ -18,37 +21,33 @@ interface so the failure injectors can drive it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core.errors import ProtocolError
-from repro.core.outcome import OutcomeLog, OutcomeTable
 from repro.core.polyvalue import Value
 from repro.db.catalog import Catalog
-from repro.db.locks import LockManager
-from repro.db.store import ItemStore
-from repro.metrics.collector import MetricsCollector
 from repro.net.message import SiteId
 from repro.net.network import Network
 from repro.obs.events import EventBus
+from repro.runtime.base import BACKGROUND_LABELS
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.rand import Rng
-from repro.txn.paxos import DecisionBoard, PaxosSite
-from repro.txn.pathsensitive import PathRegistry, PathSensitiveSite
-from repro.runtime.sim import SimRuntime
-from repro.txn.config import CommitProtocol, ProtocolConfig
-from repro.txn.runtime import SiteRuntime, TransitionLog
-from repro.txn.site import DatabaseSite
-from repro.txn.transaction import Transaction, TransactionHandle, TxnStatus
+from repro.txn.cluster import Cluster
+from repro.txn.config import ProtocolConfig
 
 ItemId = str
 
 
-class DistributedSystem:
+class DistributedSystem(Cluster):
     """A complete simulated distributed database.
 
     Use :meth:`build` for the common case (items spread round-robin over
     ``site-0 .. site-N``); the constructor accepts an explicit
     :class:`~repro.db.catalog.Catalog` for custom placements.
+    Everything that is not simulated-time driving — ``submit``,
+    crash/recovery, the observations, ``converged`` — is inherited from
+    :class:`~repro.txn.cluster.Cluster`.
     """
 
     def __init__(
@@ -64,20 +63,10 @@ class DistributedSystem:
         duplicate_probability: float = 0.0,
         corruption_probability: float = 0.0,
     ) -> None:
-        self.config = config or ProtocolConfig()
-        #: The database's initial contents, retained for ground-truth
-        #: checks (serial replay needs the state before any commit).
-        self.initial_values: Dict[ItemId, Value] = dict(initial_values)
         self.sim = Simulator()
         self.rng = Rng(seed)
-        #: The system-wide observability bus.  With no subscribers every
-        #: instrumentation point short-circuits on a truthiness check,
-        #: so an unobserved system pays (almost) nothing.
-        self.bus = EventBus()
-        self.sim.bus = self.bus
-        self.metrics = MetricsCollector()
-        self.transitions = TransitionLog(bus=self.bus)
-        self.catalog = catalog
+        bus = EventBus()
+        self.sim.bus = bus
         self.network = Network(
             self.sim,
             self.rng.fork("network"),
@@ -86,51 +75,18 @@ class DistributedSystem:
             loss_probability=loss_probability,
             duplicate_probability=duplicate_probability,
             corruption_probability=corruption_probability,
-            bus=self.bus,
+            bus=bus,
         )
-        #: The Runtime the sites run on — here, always the sim adapter.
-        #: The facade itself keeps direct `sim`/`network` access: it is
-        #: the composition root, not a protocol state machine.
-        self.runtime = SimRuntime(self.sim, self.network, rng=self.rng)
-        self.sites: Dict[SiteId, DatabaseSite] = {}
-        self.handles: List[TransactionHandle] = []
-        #: Populated for the protocols that need system-wide registries:
-        #: Paxos Commit's client-handle board, path-sensitive commit's
-        #: routing record.  None under the classic two-phase protocol.
-        self.decision_board: Optional[DecisionBoard] = None
-        self.path_registry: Optional[PathRegistry] = None
-        if self.config.protocol is CommitProtocol.PAXOS:
-            self.decision_board = DecisionBoard()
-        elif self.config.protocol is CommitProtocol.PATH_SENSITIVE:
-            self.path_registry = PathRegistry()
-        for site_id in sorted(catalog.all_sites()):
-            store = ItemStore(
-                {
-                    item: initial_values[item]
-                    for item in catalog.items_at(site_id)
-                }
-            )
-            runtime = SiteRuntime(
-                site_id=site_id,
-                rt=self.runtime,
-                catalog=catalog,
-                store=store,
-                locks=LockManager(),
-                outcomes=OutcomeTable(),
-                outcome_log=OutcomeLog(),
-                config=self.config,
-                metrics=self.metrics,
-                transitions=self.transitions,
-                bus=self.bus,
-            )
-            if self.decision_board is not None:
-                self.sites[site_id] = PaxosSite(runtime, self.decision_board)
-            elif self.path_registry is not None:
-                self.sites[site_id] = PathSensitiveSite(
-                    runtime, self.path_registry
-                )
-            else:
-                self.sites[site_id] = DatabaseSite(runtime)
+        # The facade keeps direct `sim`/`network` access: it is the
+        # simulator front-end, not a protocol state machine.
+        super().__init__(
+            SimRuntime(self.sim, self.network, rng=self.rng),
+            catalog=catalog,
+            initial_values=initial_values,
+            config=config or ProtocolConfig(),
+            bus=bus,
+        )
+        self._wire_sites()
 
     @staticmethod
     def build(
@@ -163,63 +119,6 @@ class DistributedSystem:
         )
 
     # ------------------------------------------------------------------
-    # Client API
-    # ------------------------------------------------------------------
-
-    def submit(
-        self, transaction: Transaction, *, at: Optional[SiteId] = None
-    ) -> TransactionHandle:
-        """Submit *transaction*, coordinated at *at* (default: the home
-        site of its first declared item)."""
-        coordinator = at if at is not None else self.catalog.site_of(
-            transaction.items[0]
-        )
-        site = self.sites[coordinator]
-        handle = TransactionHandle(
-            txn="?",
-            transaction=transaction,
-            submitted_at=self.sim.now,
-        )
-        self.handles.append(handle)
-        if not site.is_up:
-            # The client's request never reaches a crashed coordinator;
-            # it fails immediately (the client may retry elsewhere).
-            handle.txn = f"unsent@{coordinator}"
-            handle.was_delayed_by_failure = True
-            handle.mark_aborted(
-                self.sim.now, f"coordinator site {coordinator} is down"
-            )
-            self.metrics.txn_submitted(site=coordinator)
-            self.metrics.txn_aborted(site=coordinator)
-            if self.bus:
-                self.bus.emit(
-                    "txn.submitted",
-                    time=self.sim.now,
-                    txn=handle.txn,
-                    site=coordinator,
-                    items=tuple(transaction.items),
-                    sites=(),
-                )
-                self.bus.emit(
-                    "txn.aborted",
-                    time=self.sim.now,
-                    txn=handle.txn,
-                    site=coordinator,
-                    reason=f"coordinator site {coordinator} is down",
-                )
-            return handle
-        site.submit(transaction, handle)
-        return handle
-
-    def read_item(self, item: ItemId) -> Value:
-        """Directly read an item's current value (simple or polyvalue).
-
-        This is an observer's view for tests and metrics, not a
-        transactional read.
-        """
-        return self.sites[self.catalog.site_of(item)].store.read(item)
-
-    # ------------------------------------------------------------------
     # Simulation control
     # ------------------------------------------------------------------
 
@@ -231,25 +130,6 @@ class DistributedSystem:
         """Advance simulated time to absolute *time*."""
         self.sim.run_until(time)
 
-    #: Event-label prefixes that do not count against quiescence: the
-    #: per-site outcome-maintenance loops and workload arrival streams
-    #: reschedule themselves forever, so "no events pending" never
-    #: happens; "nothing pending but background periodics" is the
-    #: meaningful notion of an idle system.
-    BACKGROUND_LABELS = ("outcome-maintenance", "workload-arrival", "arrival")
-
-    def quiescent(self) -> bool:
-        """True iff no protocol work is in flight.
-
-        Quiescent means every pending simulation event is background
-        maintenance: no protocol message is travelling, no protocol
-        timer is armed.  The invariant oracles are evaluated at
-        quiescent points, where the global state is well defined.
-        """
-        return (
-            self.sim.next_time_except(self.BACKGROUND_LABELS) is None
-        )
-
     def run_to_quiescence(self, *, max_time: Optional[float] = None) -> bool:
         """Advance until :meth:`quiescent` (or absolute *max_time*).
 
@@ -257,89 +137,25 @@ class DistributedSystem:
         that come due still fire (they are part of normal behaviour).
         """
         return self.sim.run_until_quiescent(
-            ignore_prefixes=self.BACKGROUND_LABELS, max_time=max_time
+            ignore_prefixes=BACKGROUND_LABELS, max_time=max_time
         )
 
     def settle(self, *, max_time: float, step: float = 1.0) -> bool:
-        """Run maintenance rounds until the database converges.
+        """Run maintenance rounds until the database :meth:`converged`.
 
-        Convergence is the paper's end state after all failures
-        recover: zero polyvalues, zero outcome bookkeeping (both the
-        participants' outcome tables and the coordinators' outcome
-        logs), no pending transactions.  Returns True when reached
-        before absolute *max_time*; the caller is responsible for
-        having recovered all sites and healed all partitions first.
+        Returns True when convergence was reached before absolute
+        *max_time*; the caller is responsible for having recovered all
+        sites and healed all partitions first.
         """
-
-        def _converged() -> bool:
-            return (
-                self.total_polyvalues() == 0
-                and self.outcome_bookkeeping_size() == 0
-                and self.total_protocol_residue() == 0
-                and not any(
-                    site.runtime.outcome_log.pending()
-                    for site in self.sites.values()
-                )
-                and not self.pending_handles()
-                # A protocol timer still armed (e.g. a participant whose
-                # abort message was lost, waiting out its compute
-                # timeout) will still move state — and release locks —
-                # when it fires; the system has not converged until it
-                # is also quiescent.
-                and self.quiescent()
-            )
-
         while self.sim.now < max_time:
-            if _converged():
+            if self.converged():
                 return True
             self.run_for(min(step, max_time - self.sim.now))
-        return _converged()
+        return self.converged()
 
     # ------------------------------------------------------------------
-    # Failure injection (Crashable)
+    # Gray failure injection (the simulated network's vocabulary)
     # ------------------------------------------------------------------
-
-    def crash_site(self, site: SiteId) -> None:
-        """Fail-stop *site*: it loses volatile state, its traffic drops.
-
-        Transactions it was coordinating and had not decided are
-        presumed aborted — participants converge to the same answer by
-        querying after recovery.
-        """
-        self.network.crash_site(site)
-        if self.bus:
-            self.bus.emit("site.crash", time=self.sim.now, site=site)
-        undecided = self.sites[site].crash()
-        for handle in undecided:
-            if handle.status is TxnStatus.PENDING:
-                handle.was_delayed_by_failure = True
-                handle.mark_aborted(
-                    self.sim.now, "coordinator crashed; presumed abort"
-                )
-                self.metrics.txn_aborted(site=site)
-                if self.bus:
-                    self.bus.emit(
-                        "txn.aborted",
-                        time=self.sim.now,
-                        txn=handle.txn,
-                        site=site,
-                        reason="coordinator crashed; presumed abort",
-                    )
-
-    def down_sites(self) -> List[SiteId]:
-        """The sites currently crashed, in stable order."""
-        return sorted(
-            site_id
-            for site_id, site in self.sites.items()
-            if not site.is_up
-        )
-
-    def recover_site(self, site: SiteId) -> None:
-        """Bring *site* back up; it replays durable state."""
-        self.network.recover_site(site)
-        if self.bus:
-            self.bus.emit("site.recover", time=self.sim.now, site=site)
-        self.sites[site].recover()
 
     def degrade_site(self, site: SiteId, factor: float) -> None:
         """Gray-degrade *site*: all its traffic slows by *factor*.
@@ -358,49 +174,3 @@ class DistributedSystem:
         self.network.restore_site(site)
         if self.bus:
             self.bus.emit("site.restore", time=self.sim.now, site=site)
-
-    # ------------------------------------------------------------------
-    # Whole-database observations
-    # ------------------------------------------------------------------
-
-    def total_polyvalues(self) -> int:
-        """The number of items currently holding polyvalues — the
-        paper's ``P(t)`` for this system."""
-        return sum(site.polyvalue_count() for site in self.sites.values())
-
-    def polyvalued_items(self) -> List[ItemId]:
-        """Every item currently holding a polyvalue."""
-        found: List[ItemId] = []
-        for site in self.sites.values():
-            found.extend(site.store.polyvalued_items())
-        return sorted(found)
-
-    def all_certain(self) -> bool:
-        """True iff no item holds a polyvalue (all uncertainty resolved)."""
-        return self.total_polyvalues() == 0
-
-    def database_state(self) -> Dict[ItemId, Value]:
-        """A copy of every item's current value across all sites."""
-        state: Dict[ItemId, Value] = {}
-        for site in self.sites.values():
-            state.update(site.store.all_values())
-        return state
-
-    def pending_handles(self) -> List[TransactionHandle]:
-        """Handles still awaiting a decision."""
-        return [
-            handle
-            for handle in self.handles
-            if handle.status is TxnStatus.PENDING
-        ]
-
-    def total_protocol_residue(self) -> int:
-        """Protocol-specific undecided state across all sites (Paxos
-        acceptor/registrar records, path-sensitive apply queues);
-        convergence requires it to drain to zero."""
-        return sum(site.protocol_residue() for site in self.sites.values())
-
-    def outcome_bookkeeping_size(self) -> int:
-        """Total outcome-table entries across sites (should fall back to
-        zero after failures recover — the paper's GC property)."""
-        return sum(len(site.runtime.outcomes) for site in self.sites.values())

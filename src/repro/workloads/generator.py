@@ -1,11 +1,13 @@
-"""Random update workloads for the full-system simulator.
+"""Random update workloads for a full cluster, on either runtime.
 
 This reproduces the section 4.2 workload shape on the *real* system
 (network, 2PC, polyvalue installation) rather than the abstract tag-set
 model: transactions arrive in a Poisson stream at rate U; each updates
 one uniformly chosen item with a value computed from ``d`` dependency
 items (``d`` exponential with mean D) and, with probability ``1-Y``,
-the item's previous value.
+the item's previous value.  Arrivals are timers on the cluster's own
+``Runtime``, so the same generator drives the simulator and a socket
+cluster.
 
 Item selection can be skewed (``hot_fraction``/``hot_weight``) to model
 the paper's remark that non-uniform access "has the effect of reducing
@@ -19,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.errors import SimulationError
 from repro.sim.rand import Rng
-from repro.txn.system import DistributedSystem
+from repro.txn.cluster import Cluster
 from repro.txn.transaction import Transaction, TransactionHandle
 
 ItemId = str
@@ -141,7 +143,7 @@ class RandomUpdateWorkload:
 
     def __init__(
         self,
-        system: DistributedSystem,
+        system: Cluster,
         config: WorkloadConfig,
         *,
         seed: int = 0,
@@ -172,7 +174,9 @@ class RandomUpdateWorkload:
 
     def _schedule_next(self) -> None:
         delay = self._rng.exponential(1.0 / self._config.update_rate)
-        self._system.sim.schedule(delay, self._arrive, label="workload-arrival")
+        self._system.runtime.schedule(
+            delay, self._arrive, label="workload-arrival"
+        )
 
     def _arrive(self) -> None:
         if not self._running:

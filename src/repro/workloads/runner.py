@@ -226,7 +226,7 @@ class ExperimentRunner:
         if len(metrics.polyvalue_count) > 0:
             try:
                 mean_polyvalues = metrics.polyvalue_count.time_weighted_mean(
-                    metrics.polyvalue_count.points[0][0], system.sim.now
+                    metrics.polyvalue_count.points[0][0], system.now
                 )
             except ValueError:
                 mean_polyvalues = None
@@ -236,7 +236,7 @@ class ExperimentRunner:
             expected = serial_replay(handles, self._initial_values)
             serially_equivalent = final_state == expected
         return RunReport(
-            simulated_seconds=system.sim.now,
+            simulated_seconds=system.now,
             submitted=metrics.submitted,
             committed=metrics.committed,
             aborted=metrics.aborted,

@@ -8,10 +8,17 @@ the sim network — every clock read, timer, send, and RNG draw must go
 through :class:`repro.runtime.base.Runtime`.
 
 This test walks the AST of every module in ``src/repro/txn`` and fails
-on any import of the banned substrate modules.  ``system.py`` is the
-one exemption: it is the *sim* composition root, whose whole job is to
-assemble Simulator + Network + SimRuntime (the live counterpart,
-``repro.live.cluster``, lives outside the package for the same reason).
+on any import of the banned substrate modules.  That includes
+``cluster.py``, the one composition root both runtimes share.
+``system.py`` is the one exemption: it is the *simulator front-end*,
+whose whole job is to assemble Simulator + Network + SimRuntime and hand
+them to ``Cluster`` (the socket front-end, ``repro.live.cluster``, lives
+outside the package for the same reason).
+
+A second rule extends the seam upward: the workload generators and the
+oracles judge either kind of cluster, so they may not reach through one
+for its simulator — no ``<x>.sim.<y>`` or ``<x>.network.<y>`` attribute
+access in ``src/repro/workloads`` or ``src/repro/check/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ import pathlib
 
 import pytest
 
-TXN_DIR = (
-    pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "txn"
-)
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+TXN_DIR = SRC_DIR / "txn"
 
 #: Modules the protocol layer must not touch (prefix match): the sim
 #: engine, the sim network, and the sim failure injectors.  The message
@@ -34,8 +40,11 @@ BANNED_PREFIXES = (
     "repro.net.failures",
 )
 
-#: The sim composition root — the one module allowed to see the sim.
+#: The simulator front-end — the one module allowed to see the sim.
 EXEMPT = {"system.py"}
+
+#: Attributes of a cluster that only the simulator front-end has.
+SIM_ONLY_ATTRIBUTES = ("sim", "network")
 
 
 def _banned(module_name: str) -> bool:
@@ -65,15 +74,34 @@ def _violations(path: pathlib.Path) -> list:
     return found
 
 
+def _sim_reaches(path: pathlib.Path) -> list:
+    """Every ``<x>.sim.<y>`` / ``<x>.network.<y>`` attribute chain."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}: .{node.value.attr}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr in SIM_ONLY_ATTRIBUTES
+    ]
+
+
 def txn_modules():
     return sorted(
         p for p in TXN_DIR.glob("*.py") if p.name not in EXEMPT
     )
 
 
+def runtime_neutral_modules():
+    return sorted((SRC_DIR / "workloads").glob("*.py")) + [
+        SRC_DIR / "check" / "oracles.py"
+    ]
+
+
 def test_txn_layer_exists():
     assert TXN_DIR.is_dir()
     assert len(txn_modules()) >= 5
+    assert TXN_DIR / "cluster.py" in txn_modules()
 
 
 @pytest.mark.parametrize("path", txn_modules(), ids=lambda p: p.name)
@@ -94,6 +122,29 @@ def test_lint_catches_a_banned_import(tmp_path):
         encoding="utf-8",
     )
     assert len(_violations(bad)) == 2
+
+
+@pytest.mark.parametrize(
+    "path", runtime_neutral_modules(), ids=lambda p: p.name
+)
+def test_module_does_not_reach_through_a_cluster_for_the_simulator(path):
+    violations = _sim_reaches(path)
+    assert not violations, (
+        "workloads and oracles must talk to Cluster + Runtime only:\n  "
+        + "\n  ".join(violations)
+    )
+
+
+def test_lint_catches_a_sim_reach(tmp_path):
+    """The reach rule is live too: planted violations are reported."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(system):\n"
+        "    system.sim.schedule(1.0, print)\n"
+        "    return system.network.stats, system.runtime.now\n",
+        encoding="utf-8",
+    )
+    assert len(_sim_reaches(bad)) == 2
 
 
 def test_exempt_system_module_is_the_composition_root():

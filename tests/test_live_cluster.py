@@ -9,15 +9,20 @@ the wait-timeout/outcome-query paths fire within test budgets.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.check import CheckContext, check_converged, failed
+from repro.core.serialize import decode_state
 from repro.live import ClusterThread, LiveCluster, LiveClusterError
 from repro.live.client import poll_txn, request, transfer_script
+from repro.runtime import AsyncioRuntime
 from repro.txn.config import ProtocolConfig
-from repro.txn.protocol import Complete, OutcomeNotify
+from repro.txn.protocol import Complete, OutcomeNotify, Ready
 from repro.txn.timeouts import TimeoutPolicy
 from repro.txn.transaction import TxnStatus
+from repro.workloads.generator import RandomUpdateWorkload, WorkloadConfig
 
 
 def fast_config() -> ProtocolConfig:
@@ -163,6 +168,32 @@ class TestLiveCrashRecovery:
         assert after == before
         assert after["acct-0"] == 91
 
+    def test_converged_memory_matches_the_site_files(self, tmp_path):
+        """Straight after ``wait_decided`` + ``wait_converged`` nothing is
+        decided-but-uninstalled: what is in memory is what is on disk."""
+
+        async def scenario():
+            cluster = LiveCluster(sites=3, seed=5, data_dir=str(tmp_path))
+            await cluster.start()
+            try:
+                handle = cluster.submit_script(
+                    transfer_script("acct-0", "acct-4", 11)
+                )
+                assert await cluster.wait_decided(handle, timeout=10.0)
+                assert await cluster.wait_converged(timeout=10.0)
+                on_disk = {}
+                for path in tmp_path.glob("site-*.json"):
+                    on_disk.update(
+                        decode_state(json.loads(path.read_text())["values"])
+                    )
+                return cluster.database_state(), on_disk
+            finally:
+                await cluster.stop()
+
+        in_memory, on_disk = run(scenario())
+        assert in_memory["acct-0"] == 89 and in_memory["acct-4"] == 111
+        assert on_disk == in_memory
+
     def test_wait_timeout_installs_polyvalue_over_real_sockets(self):
         """The paper's §3.1 mechanism, live: a participant that misses
         Complete times out of the wait phase, installs a polyvalue, and
@@ -202,6 +233,112 @@ class TestLiveCrashRecovery:
         assert value == 106
 
 
+class TestAsyncioQuiescence:
+    """``AsyncioRuntime.quiescent()`` — what ``converged()`` stands on."""
+
+    def test_not_quiescent_between_send_and_dispatch(self):
+        async def scenario():
+            rt = AsyncioRuntime()
+            await rt.start()
+            await rt.listen("site-0")
+            received = []
+            rt.register("site-0", received.append)
+            try:
+                assert rt.quiescent()
+                rt.send("site-0", "site-0", Ready(txn="T1", site="site-0"))
+                in_flight = rt.quiescent()
+                while not received:
+                    await asyncio.sleep(0)
+                return in_flight, rt.quiescent()
+            finally:
+                await rt.close()
+
+        assert run(scenario()) == (False, True)
+
+    def test_armed_protocol_timer_counts_until_fired_or_cancelled(self):
+        async def scenario():
+            rt = AsyncioRuntime()
+            await rt.start()
+            fired = []
+            try:
+                rt.schedule(30.0, lambda: None, label="outcome-maintenance:s")
+                background_only = rt.quiescent()
+                timer = rt.schedule(0.01, lambda: fired.append(1), label="wait-timeout:T1")
+                armed = rt.quiescent()
+                while not fired:
+                    await asyncio.sleep(0.005)
+                after_fire = rt.quiescent()
+                cancelled = rt.schedule(30.0, lambda: None, label="wait-timeout:T2")
+                rearmed = rt.quiescent()
+                cancelled.cancel()
+                timer.cancel()  # cancelling a fired timer is harmless
+                return background_only, armed, after_fire, rearmed, rt.quiescent()
+            finally:
+                await rt.close()
+
+        assert run(scenario()) == (True, False, True, False, True)
+
+
+class TestOneRootServesBothRuntimes:
+    """The sim's own judges — the oracle suite and the random-update
+    workload generator — run unmodified against a socket cluster."""
+
+    def test_oracle_suite_passes_on_a_live_cluster(self, tmp_path):
+        async def scenario():
+            cluster = LiveCluster(
+                sites=3, seed=6, config=fast_config(), data_dir=str(tmp_path)
+            )
+            await cluster.start()
+            try:
+                for source, target, amount in [
+                    ("acct-0", "acct-1", 5), ("acct-2", "acct-3", 8),
+                    ("acct-4", "acct-5", 2), ("acct-1", "acct-2", 4),
+                ]:
+                    handle = cluster.submit_script(
+                        transfer_script(source, target, amount)
+                    )
+                    assert await cluster.wait_decided(handle, timeout=10.0)
+                in_flight = cluster.submit_script(
+                    transfer_script("acct-1", "acct-3", 1), at="site-1"
+                )
+                cluster.crash("site-1")
+                assert in_flight.status is TxnStatus.ABORTED
+                cluster.restart("site-1")
+                after = cluster.submit_script(
+                    transfer_script("acct-1", "acct-0", 3), at="site-1"
+                )
+                assert await cluster.wait_decided(after, timeout=10.0)
+                assert await cluster.wait_converged(timeout=15.0)
+                return failed(check_converged(CheckContext(cluster)))
+            finally:
+                await cluster.stop()
+
+        assert run(scenario()) == []
+
+    def test_random_update_workload_drives_a_live_cluster(self):
+        async def scenario():
+            cluster = LiveCluster(sites=3, seed=7)
+            await cluster.start()
+            try:
+                workload = RandomUpdateWorkload(
+                    cluster,
+                    WorkloadConfig(update_rate=100.0, dependency_mean=1.0),
+                    seed=7,
+                )
+                workload.start()
+                await asyncio.sleep(1.0)
+                workload.stop()
+                converged = await cluster.wait_converged(timeout=15.0)
+                return converged, cluster.metrics.committed, workload.handles
+            finally:
+                await cluster.stop()
+
+        converged, commits, handles = run(scenario())
+        assert converged
+        assert commits > 0
+        assert all(h.status is not TxnStatus.PENDING for h in handles)
+
+
 class TestHttpApi:
     def test_full_http_surface(self):
         with ClusterThread(http=True, sites=3, seed=2,
@@ -225,6 +362,14 @@ class TestHttpApi:
             item = request(base, "/item/acct-1")
             assert item["value"] == 104 and item["site"] == "site-1"
 
+            # Hold the second transaction in flight until the crash: with
+            # the votes to its coordinator dropped it cannot decide (a
+            # localhost commit would otherwise beat the next request).
+            ct.call(
+                ct.cluster.runtime.set_fault,
+                lambda env: env.recipient == "site-0"
+                and isinstance(env.payload, Ready),
+            )
             pending = request(
                 base, "/txn", method="POST",
                 body={"script": transfer_script("acct-0", "acct-3", 2),
@@ -233,6 +378,7 @@ class TestHttpApi:
             request(base, "/crash", method="POST", body={"site": "site-0"})
             assert request(base, "/health")["down"] == ["site-0"]
             request(base, "/restart", method="POST", body={"site": "site-0"})
+            ct.call(ct.cluster.runtime.set_fault, None)
 
             outcome = poll_txn(base, pending["txn"], timeout=15.0)
             assert outcome["status"] == "aborted"

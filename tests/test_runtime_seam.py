@@ -33,6 +33,12 @@ class TestRuntimeContract:
             rt.register("a", lambda env: None)
         with pytest.raises(NotImplementedError):
             rt.rng("stream")
+        with pytest.raises(NotImplementedError):
+            rt.mark_down("a")
+        with pytest.raises(NotImplementedError):
+            rt.mark_up("a")
+        with pytest.raises(NotImplementedError):
+            rt.quiescent()
 
     def test_base_durability_hooks_are_noops(self):
         rt = Runtime()
@@ -69,6 +75,35 @@ class TestSimRuntime:
         assert len(got) == 1
         assert got[0].payload == "payload"
         assert got[0].sender == "s1"
+
+    def test_mark_down_and_up_drive_the_network_fail_stop(self):
+        sim, network, rt = make_sim_runtime()
+        got = []
+        rt.register("s2", got.append)
+        rt.mark_down("s2")
+        assert not network.is_up("s2")
+        rt.send("s1", "s2", "lost")
+        sim.run()
+        rt.mark_up("s2")
+        rt.send("s1", "s2", "kept")
+        sim.run()
+        assert [envelope.payload for envelope in got] == ["kept"]
+
+    def test_quiescent_ignores_only_the_background_labels(self):
+        sim, _, rt = make_sim_runtime()
+        assert rt.quiescent()
+        rt.schedule(5.0, lambda: None, label="outcome-maintenance:s1")
+        rt.schedule(5.0, lambda: None, label="workload-arrival")
+        assert rt.quiescent()
+        timer = rt.schedule(1.0, lambda: None, label="wait-timeout:T1")
+        assert not rt.quiescent()
+        timer.cancel()
+        assert rt.quiescent()
+        rt.register("s2", lambda envelope: None)
+        rt.send("s1", "s2", "payload")
+        assert not rt.quiescent()
+        sim.run_until(1.0)
+        assert rt.quiescent()
 
     def test_rng_streams_are_forked_and_stable(self):
         _, _, rt = make_sim_runtime()
