@@ -130,6 +130,10 @@ class OutcomeTable:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def clear(self) -> None:
+        """Drop every entry (a restart refills the table from its snapshot)."""
+        self._entries.clear()
+
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
@@ -219,6 +223,11 @@ class OutcomeLog:
 
     def __len__(self) -> int:
         return len(self._outcomes)
+
+    def clear(self) -> None:
+        """Drop every decision (a restart refills the log from its snapshot)."""
+        self._outcomes.clear()
+        self._unacknowledged.clear()
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,17 @@ what only wall-clock time needs: ``start``/``stop``, the polling
 ``wait_*`` verbs, JSON transaction scripts and ``describe*`` payloads
 for the HTTP API, and :class:`ClusterThread` for synchronous callers.
 Timers are real ``call_later`` timers, messages are JSON frames over
-localhost TCP, and each site checkpoints its durable state to a JSON
-file after every action — so :meth:`crash`/:meth:`restart` genuinely
-exercise restart-from-disk.
+localhost TCP, and with a data directory each site checkpoints its
+durable state to a JSON file after every action — so
+:meth:`crash`/:meth:`restart` genuinely exercise restart-from-disk
+(without one, the restart is from the snapshot taken at the crash).
 
 Transactions arrive as JSON scripts (:mod:`repro.live.txnscript`)
 because live clients cannot ship Python callables.
 
-Path-sensitive commit stays sim-only: its fast path commits at submit
-and converges through apply queues that have only been validated on the
-simulator.  ``LIVE_PROTOCOLS`` is the supported set.
+Path-sensitive commit stays sim-only: its apply log and routing queues
+are not part of the durable snapshot, so a site could not come back from
+its file.  ``LIVE_PROTOCOLS`` is the supported set.
 """
 
 from __future__ import annotations
@@ -105,11 +106,16 @@ class LiveCluster(Cluster):
         If the data directory already holds site checkpoints (a
         previous incarnation of this cluster), each site restores from
         its file before serving — restart-the-whole-cluster recovery.
+        A site file that cannot be restored stops the boot.
         """
         await self.runtime.start()
         for site_id in sorted(self.catalog.all_sites()):
             await self.runtime.listen(site_id)
-        self._wire_sites()
+        try:
+            self._wire_sites()
+        except Exception:
+            await self.stop()
+            raise
 
     async def stop(self) -> None:
         """Stop maintenance loops and close every socket."""
@@ -174,7 +180,7 @@ class LiveCluster(Cluster):
         self.crash_site(self._known(site_id))
 
     def restart(self, site_id: SiteId) -> None:
-        """Restart *site_id* from its durable checkpoint file (see
+        """Restart *site_id* from its durable snapshot (see
         :meth:`Cluster.recover_site`)."""
         self.recover_site(self._known(site_id))
 

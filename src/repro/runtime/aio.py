@@ -13,9 +13,13 @@ The live transport (stdlib only):
   are cached per recipient and re-opened once on failure; beyond that
   a send is simply lost, which is exactly the delivery contract the
   protocols are designed for.
-* **Durability** — after every timer fire and every inbound dispatch
-  for site S, S's registered snapshot is JSON-serialised to
-  ``<data_dir>/site-<S>.json`` via atomic write-then-rename.  Sends
+* **Durability** — with a data directory, after every timer fire and
+  every inbound dispatch for site S, S's registered snapshot is written
+  as JSON text to ``<data_dir>/site-<S>.json`` via atomic
+  write-then-rename; a file that does not read back as a snapshot is a
+  :class:`~repro.runtime.base.DurableStateError`, never an empty boot.
+  Without a data directory the snapshot is taken at :meth:`mark_down`
+  and held in memory until the restart (the base-class default).  Sends
   only enqueue an asyncio task, and tasks cannot run before the
   current callback (checkpoint included) returns — so durable state
   always reaches disk *before* any message provoked by it reaches a
@@ -38,14 +42,19 @@ The live transport (stdlib only):
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set
 
 from repro.core.errors import SimulationError
 from repro.net.message import Envelope, SiteId
-from repro.runtime.base import BACKGROUND_LABELS, Runtime, TimerHandle
+from repro.runtime.base import (
+    BACKGROUND_LABELS,
+    Runtime,
+    TimerHandle,
+    dump_snapshot,
+    parse_snapshot,
+)
 from repro.sim.rand import Rng
 
 
@@ -110,6 +119,7 @@ class AsyncioRuntime(Runtime):
         encode: Optional[Callable[[Envelope], bytes]] = None,
         decode: Optional[Callable[[bytes], Envelope]] = None,
     ) -> None:
+        super().__init__()
         self.host = host
         self.data_dir = data_dir
         self.durable = data_dir is not None
@@ -131,7 +141,6 @@ class AsyncioRuntime(Runtime):
         self._writers: Dict[SiteId, asyncio.StreamWriter] = {}
         self._conn_locks: Dict[SiteId, asyncio.Lock] = {}
         self._down: Set[SiteId] = set()
-        self._snapshots: Dict[SiteId, Callable[[], Dict[str, Any]]] = {}
         self._tasks: Set = set()
         #: What :meth:`quiescent` watches: frames sent and not yet
         #: dispatched or lost, and armed protocol timers.
@@ -265,11 +274,6 @@ class AsyncioRuntime(Runtime):
     # ------------------------------------------------------------------
     # Durability
 
-    def attach_durability(
-        self, site: SiteId, snapshot: Callable[[], Dict[str, Any]]
-    ) -> None:
-        self._snapshots[site] = snapshot
-
     def _site_path(self, site: SiteId) -> str:
         return os.path.join(self.data_dir or "", f"site-{site}.json")
 
@@ -282,18 +286,20 @@ class AsyncioRuntime(Runtime):
         path = self._site_path(site)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(provider(), fh, separators=(",", ":"))
+            fh.write(dump_snapshot(provider()))
         os.replace(tmp, path)
         self.stats.checkpoints += 1
 
     def load_durable(self, site: SiteId) -> Optional[Dict[str, Any]]:
         if not self.durable:
-            return None
+            return super().load_durable(site)
+        path = self._site_path(site)
         try:
-            with open(self._site_path(site), "r", encoding="utf-8") as fh:
-                return json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return None
+        return parse_snapshot(data, path)
 
     # ------------------------------------------------------------------
     # Fault injection (the live analogue of the sim network's faults)
@@ -301,6 +307,8 @@ class AsyncioRuntime(Runtime):
     def mark_down(self, site: SiteId) -> None:
         """Emulate a crashed process: drop all frames to/from *site*."""
         self._down.add(site)
+        if not self.durable:
+            self._hold_durable(site)
 
     def mark_up(self, site: SiteId) -> None:
         self._down.discard(site)

@@ -16,15 +16,19 @@ Design notes
   already satisfy it, so neither implementation wraps its native
   handle — important for the sim path, where handle identity and
   scheduling order must stay bit-identical to the pre-refactor code.
-* **Durability** is a pair of hooks with no-op defaults.  A site
-  registers a snapshot provider once (:meth:`Runtime.attach_durability`)
-  and the runtime decides when to persist: the sim runtime never does
-  (crashes are simulated by discarding volatile attributes), the
-  asyncio runtime checkpoints after every timer fire and every message
-  delivery, *before* any message scheduled by that action reaches a
-  socket — giving the write-ahead ordering the protocol's recovery
-  story assumes (e.g. the coordinator's outcome-log record is on disk
-  before any *complete* message is sent).
+* **Durability** — a site registers a snapshot provider once
+  (:meth:`Runtime.attach_durability`) and comes back from a crash only
+  through what :meth:`Runtime.load_durable` returns.  The runtime
+  decides when the snapshot is taken: a runtime without storage of its
+  own (the simulator, a live cluster with no data directory) takes it
+  at :meth:`Runtime.mark_down` — the instant of the crash — and holds
+  the text until the restart; the asyncio runtime with a data directory
+  checkpoints after every timer fire and every message delivery,
+  *before* any message scheduled by that action reaches a socket —
+  giving the write-ahead ordering the protocol's recovery story assumes
+  (e.g. the coordinator's outcome-log record is on disk before any
+  *complete* message is sent).  Held or on disk, the snapshot is the
+  same text (:func:`dump_snapshot` / :func:`parse_snapshot`).
 * **RNG** hands out named deterministic streams
   (:meth:`Runtime.rng`) so workload generators and relaxed-policy coin
   flips are reproducible per seed on either runtime.
@@ -32,17 +36,10 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+import json
+from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
 
-try:  # Protocol is typing_extensions-free only on 3.8+
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - 3.7 fallback, not exercised
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
-from repro.core.errors import SimulationError
+from repro.core.errors import ReproError, SimulationError
 from repro.net.message import SiteId
 
 
@@ -52,6 +49,32 @@ from repro.net.message import SiteId
 #: "nothing pending but background periodics" is the meaningful notion
 #: of an idle system.
 BACKGROUND_LABELS = ("outcome-maintenance", "workload-arrival", "arrival")
+
+
+class DurableStateError(ReproError):
+    """A persisted site snapshot cannot be read back.
+
+    Raised instead of booting the site empty, which would silently drop
+    committed data.
+    """
+
+
+def dump_snapshot(snapshot: Dict[str, Any]) -> str:
+    """The text form of a site's durable snapshot (held or on disk)."""
+    return json.dumps(snapshot, separators=(",", ":"))
+
+
+def parse_snapshot(text: str | bytes, source: str) -> Dict[str, Any]:
+    """Decode :func:`dump_snapshot` output (or its UTF-8 bytes); *source*
+    names where *text* came from — a file path — in the error raised for
+    unreadable input."""
+    try:
+        snapshot = json.loads(text)
+    except ValueError as error:
+        raise DurableStateError(f"{source}: unreadable ({error})") from error
+    if not isinstance(snapshot, dict):
+        raise DurableStateError(f"{source}: not a JSON object")
+    return snapshot
 
 
 @runtime_checkable
@@ -71,10 +94,14 @@ class Runtime:
     thread-safe.
     """
 
-    #: True when :meth:`checkpoint` actually persists anywhere.  Lets
-    #: composition code (and tests) know whether restart-from-disk is a
-    #: meaningful operation on this runtime.
+    #: True when :meth:`checkpoint` persists to storage that outlives
+    #: the process.
     durable: bool = False
+
+    def __init__(self) -> None:
+        self._snapshots: Dict[SiteId, Callable[[], Dict[str, Any]]] = {}
+        #: Snapshot text taken at a crash, held for the restart.
+        self._held: Dict[SiteId, str] = {}
 
     @property
     def now(self) -> float:
@@ -116,7 +143,11 @@ class Runtime:
         raise NotImplementedError
 
     def mark_down(self, site: SiteId) -> None:
-        """Fail-stop *site*: drop all traffic to and from it."""
+        """Fail-stop *site*: drop all traffic to and from it.
+
+        Called while the site's state is still intact; a runtime that
+        does not persist continuously calls :meth:`_hold_durable` here.
+        """
         raise NotImplementedError
 
     def mark_up(self, site: SiteId) -> None:
@@ -130,19 +161,30 @@ class Runtime:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Durability hooks — no-ops by default (the sim runtime keeps them).
+    # Durability hooks
 
     def attach_durability(
         self, site: SiteId, snapshot: Callable[[], Dict[str, Any]]
     ) -> None:
         """Register *site*'s durable-state snapshot provider."""
+        self._snapshots[site] = snapshot
 
     def checkpoint(self, site: SiteId) -> None:
         """Persist *site*'s durable state now (no-op when not durable)."""
 
+    def _hold_durable(self, site: SiteId) -> None:
+        """Take *site*'s snapshot now and hold its text for the restart."""
+        provider = self._snapshots.get(site)
+        if provider is not None:
+            self._held[site] = dump_snapshot(provider())
+
     def load_durable(self, site: SiteId) -> Optional[Dict[str, Any]]:
-        """The last persisted snapshot for *site*, or None."""
-        return None
+        """The snapshot *site* restarts from, or None when it has never
+        run: here, the one held since its crash (handed out once)."""
+        text = self._held.pop(site, None)
+        if text is None:
+            return None
+        return parse_snapshot(text, f"held snapshot of {site}")
 
 
 class Periodic:

@@ -8,8 +8,10 @@ that called them directly.  That is the bit-for-bit guarantee the
 explorer fingerprints, chaos replays, and committed bench numbers rely
 on (see ``docs/runtime.md``).
 
-Durability hooks stay the base-class no-ops: simulated crashes discard
-volatile attributes in place, so there is nothing to persist.
+Durability is the base-class default: :meth:`SimRuntime.mark_down`
+takes the site's durable snapshot at the instant of the crash and
+``load_durable`` hands its text back at recovery, so a simulated
+restart runs the same restore code as a restart from a site file.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from repro.sim.rand import Rng
 class SimRuntime(Runtime):
     """Simulated clock and transport; the default runtime everywhere."""
 
-    durable = False
-
     def __init__(
         self, sim: Simulator, network: Network, rng: Optional[Rng] = None
     ) -> None:
+        super().__init__()
         self.sim = sim
         self.network = network
         self._rng = rng if rng is not None else Rng(0)
@@ -61,6 +62,7 @@ class SimRuntime(Runtime):
         return self._rng.fork(stream)
 
     def mark_down(self, site: SiteId) -> None:
+        self._hold_durable(site)
         self.network.crash_site(site)
 
     def mark_up(self, site: SiteId) -> None:

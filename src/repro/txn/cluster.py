@@ -10,11 +10,18 @@ through :class:`~repro.runtime.base.Runtime`, so the two front-ends —
 :class:`~repro.txn.system.DistributedSystem` (simulated time) and
 :class:`~repro.live.cluster.LiveCluster` (wall-clock sockets) — add
 only construction and the verbs that drive their kind of time.
+
+There is one way back up.  A site that restarts — after
+:meth:`Cluster.crash_site`, or at boot over a previous incarnation's
+data directory — is rebuilt from the snapshot the runtime hands back
+(``Runtime.load_durable`` → ``DatabaseSite.restore_durable`` →
+``recover``); no state survives a crash by staying in memory, on either
+runtime.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.outcome import OutcomeLog, OutcomeTable
 from repro.core.polyvalue import Value
@@ -80,10 +87,9 @@ class Cluster:
     def _wire_sites(self) -> None:
         """Build every site's state machine on the runtime.
 
-        A site whose runtime holds a durable snapshot (a previous
-        incarnation of this cluster) restores from it and recovers
-        before serving; every site then writes its first checkpoint.
-        Both steps are no-ops on a runtime that is not durable.
+        A site whose runtime holds a snapshot (a previous incarnation
+        of this cluster left a data directory) restarts from it before
+        serving; every site then writes its first checkpoint.
         """
         for site_id in sorted(self.catalog.all_sites()):
             runtime = SiteRuntime(
@@ -111,17 +117,16 @@ class Cluster:
             else:
                 site = DatabaseSite(runtime)
             self.sites[site_id] = site
-            if self._restore_durable(site_id):
-                site.recover()
+            snapshot = self.runtime.load_durable(site_id)
+            if snapshot is not None:
+                self._restart(site_id, snapshot)
             self.runtime.checkpoint(site_id)
 
-    def _restore_durable(self, site_id: SiteId) -> bool:
-        """Overwrite *site_id*'s durable structures from the runtime's
-        last persisted snapshot; False when there is none."""
-        snapshot = self.runtime.load_durable(site_id)
-        if snapshot is not None:
-            self.sites[site_id].restore_durable(snapshot)
-        return snapshot is not None
+    def _restart(self, site_id: SiteId, snapshot: Dict[str, Any]) -> None:
+        """Rebuild *site_id* from *snapshot* and replay recovery."""
+        site = self.sites[site_id]
+        site.restore_durable(snapshot)
+        site.recover()
 
     @property
     def now(self) -> float:
@@ -221,17 +226,16 @@ class Cluster:
                     )
 
     def recover_site(self, site: SiteId) -> None:
-        """Bring *site* back up; it replays durable state.
-
-        On a durable runtime the in-memory durable structures are
-        overwritten from the checkpoint first, so the restart truly goes
-        through the file; otherwise they simply survived in memory.
-        """
-        self._restore_durable(site)
+        """Bring *site* back up from the snapshot its runtime holds: the
+        site file, or the one taken at the instant of the crash.
+        Recovering a site that is up does nothing."""
+        if self.sites[site].is_up:
+            return
+        snapshot = self.runtime.load_durable(site)
         self.runtime.mark_up(site)
         if self.bus:
             self.bus.emit("site.recover", time=self.now, site=site)
-        self.sites[site].recover()
+        self._restart(site, snapshot)
         self.runtime.checkpoint(site)
 
     def down_sites(self) -> List[SiteId]:

@@ -82,7 +82,9 @@ class Coordinator:
     def __init__(self, runtime: SiteRuntime) -> None:
         self._rt = runtime
         self._active: Dict[TxnId, _CoordTxn] = {}
-        self._sequence = 0
+        #: Durable: the transaction-id counter (in the site snapshot, so
+        #: a restarted coordinator never reuses a txn id).
+        self.sequence = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -91,16 +93,6 @@ class Coordinator:
     def active_transactions(self) -> Set[TxnId]:
         """Transactions this coordinator is currently driving."""
         return set(self._active)
-
-    @property
-    def sequence(self) -> int:
-        """The durable transaction-id counter (checkpointed so a
-        restarted live coordinator never reuses a txn id)."""
-        return self._sequence
-
-    def restore_sequence(self, sequence: int) -> None:
-        """Overwrite the txn-id counter from a checkpoint."""
-        self._sequence = sequence
 
     def phase_of(self, txn: TxnId) -> Optional[str]:
         """The protocol phase *txn* is in at this coordinator.
@@ -119,8 +111,8 @@ class Coordinator:
     def begin(self, transaction: Transaction, handle: TransactionHandle) -> TxnId:
         """Start coordinating *transaction*; returns its new identifier."""
         rt = self._rt
-        self._sequence += 1
-        txn = make_txn_id(self._sequence, rt.site_id)
+        self.sequence += 1
+        txn = make_txn_id(self.sequence, rt.site_id)
         handle.txn = txn
         involved = rt.catalog.group_by_site(transaction.items)
         record = _CoordTxn(

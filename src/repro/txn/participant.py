@@ -115,7 +115,7 @@ class Participant:
         """The staged-at-ready updates held durably (for checkpoints)."""
         return dict(self._durable_staged)
 
-    def restore_durable(
+    def restore_staged(
         self,
         staged: Dict[TxnId, Dict[ItemId, Any]],
         unilateral: Dict[TxnId, bool],

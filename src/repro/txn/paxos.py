@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core import polytransaction
-from repro.core.errors import ConditionError, PolyvalueError, TransactionError
+from repro.core.errors import (
+    ConditionError,
+    PolyvalueError,
+    ProtocolError,
+    TransactionError,
+)
 from repro.core.polytransaction import TooManyAlternativesError
 from repro.db.locks import LockMode
 from repro.net.message import SiteId
@@ -379,19 +384,6 @@ class PaxosParticipant(Participant):
         self, txn: TxnId
     ) -> Optional[Tuple[Tuple[SiteId, ...], Tuple[SiteId, ...]]]:
         return self._meta.get(txn)
-
-    def durable_meta(
-        self,
-    ) -> Dict[TxnId, Tuple[Tuple[SiteId, ...], Tuple[SiteId, ...]]]:
-        """The durable (participants, acceptors) records (checkpoints)."""
-        return dict(self._meta)
-
-    def restore_meta(
-        self,
-        meta: Dict[TxnId, Tuple[Tuple[SiteId, ...], Tuple[SiteId, ...]]],
-    ) -> None:
-        """Overwrite the durable registration records from a checkpoint."""
-        self._meta = dict(meta)
 
     def handle_paxos_stage(self, message: PaxosStage, sender: SiteId) -> None:
         rt = self._rt
@@ -885,11 +877,12 @@ class PaxosSite(DatabaseSite):
         return undecided
 
     # ------------------------------------------------------------------
-    # Durable state (live runtime checkpoint/restore)
+    # Durable state (see DatabaseSite.durable_snapshot)
     # ------------------------------------------------------------------
 
     def durable_snapshot(self) -> Dict[str, object]:
         snapshot = super().durable_snapshot()
+        meta = self.participant._meta
         snapshot["paxos"] = {
             "registrar": {
                 txn: list(sites) for txn, sites in self.registrar.items()
@@ -903,35 +896,28 @@ class PaxosSite(DatabaseSite):
             ],
             "meta": {
                 txn: [list(participants), list(acceptors)]
-                for txn, (participants, acceptors) in self.participant
-                .durable_meta()
-                .items()
+                for txn, (participants, acceptors) in meta.items()
             },
         }
         return snapshot
 
     def restore_durable(self, snapshot: Dict[str, object]) -> None:
         super().restore_durable(snapshot)
-        paxos = snapshot.get("paxos", {})
+        paxos = snapshot.get("paxos")
+        if paxos is None:
+            raise ProtocolError(
+                f"snapshot of {self.site_id!r} was not written by a "
+                f"Paxos Commit site"
+            )
         self.registrar = {
-            txn: tuple(sites)
-            for txn, sites in paxos.get("registrar", {}).items()
+            txn: tuple(sites) for txn, sites in paxos["registrar"].items()
         }
-        self._promised = {
-            txn: int(ballot)
-            for txn, ballot in paxos.get("promised", {}).items()
-        }
+        self._promised = dict(paxos["promised"])
         self._accepted = {
-            (txn, instance): (int(ballot), str(vote))
-            for txn, instance, ballot, vote in paxos.get("accepted", [])
+            (txn, instance): (ballot, vote)
+            for txn, instance, ballot, vote in paxos["accepted"]
         }
-        self.participant.restore_meta(
-            {
-                txn: (tuple(participants), tuple(acceptors))
-                for txn, (participants, acceptors) in paxos.get(
-                    "meta", {}
-                ).items()
-            }
-        )
-        self._proposals.clear()
-        self._round.clear()
+        self.participant._meta = {
+            txn: (tuple(participants), tuple(acceptors))
+            for txn, (participants, acceptors) in paxos["meta"].items()
+        }

@@ -11,7 +11,13 @@ crash/recovery behaviour all live here:
 * **crash** — volatile state (locks, in-flight coordination, compute/
   wait records) is lost; stable state (item values, staged-at-ready
   updates, the outcome table, the outcome log, pending outcome
-  notifications) survives.
+  notifications) is exactly what :meth:`DatabaseSite.durable_snapshot`
+  captures.
+* **restart** — :meth:`DatabaseSite.restore_durable` rebuilds the
+  stable state from that snapshot and nothing else, on the simulator as
+  on the socket runtime (:class:`repro.txn.cluster.Cluster` does it for
+  a crashed site and at boot, :mod:`repro.txn.snapshot` for a whole
+  imported system); then
 * **recover** — the participant re-applies its wait-timeout policy to
   staged-in-doubt transactions, undecided locally-coordinated
   transactions are presumed aborted, and the outcome-maintenance loop
@@ -25,6 +31,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.errors import ProtocolError
 from repro.core.polyvalue import is_polyvalue
+from repro.core.serialize import decode_state, encode_state
 from repro.net.message import Envelope, SiteId
 from repro.runtime.base import Periodic
 from repro.txn import protocol
@@ -367,28 +374,31 @@ class DatabaseSite:
         self._maintenance.stop()
 
     # ------------------------------------------------------------------
-    # Durable state (live runtime checkpoint/restore)
+    # Durable state: the one definition, and the one way back up
     # ------------------------------------------------------------------
 
-    #: Bump when the snapshot layout changes incompatibly.
-    DURABLE_VERSION = 1
+    #: Bump when the snapshot layout changes incompatibly.  2 added the
+    #: outcome table's forwarding lists.
+    DURABLE_VERSION = 2
 
     def durable_snapshot(self) -> Dict[str, object]:
         """This site's durable state as a JSON-serialisable dict.
 
         Exactly the state the crash/recovery docstring above calls
         stable: item values (polyvalues included), the outcome log, the
-        learned-outcome cache, direct doubts, owed notifications, staged
-        updates, relaxed-policy unilateral choices, and the coordinator's
+        learned-outcome cache, direct doubts, the outcome table's
+        forwarding lists (section 3.3's "other sites to which polyvalues
+        dependent on T have been sent"; its per-item half is the
+        polyvalues themselves), owed notifications, staged updates,
+        relaxed-policy unilateral choices, and the coordinator's
         transaction sequence (so a restarted coordinator never reuses a
-        txn id).  The in-memory copy is authoritative while the process
-        lives; the :class:`~repro.runtime.aio.AsyncioRuntime` persists
-        this after every action, and :meth:`restore_durable` rebuilds
-        the site from it — the same philosophy as
-        :mod:`repro.txn.snapshot`, per site instead of per system.
+        txn id).  Every restart on every runtime rebuilds the site from
+        this and nothing else (:meth:`restore_durable`): the simulator
+        holds it from crash to recovery, the
+        :class:`~repro.runtime.aio.AsyncioRuntime` writes it to the site
+        file after every action, :mod:`repro.txn.snapshot` collects one
+        per site.
         """
-        from repro.core.serialize import encode_state
-
         rt = self.runtime
         return {
             "version": self.DURABLE_VERSION,
@@ -403,6 +413,11 @@ class DatabaseSite:
             },
             "known_outcomes": dict(rt.known_outcomes),
             "direct_doubts": sorted(rt.direct_doubts),
+            "forwarded": {
+                txn: sorted(sites)
+                for txn in sorted(rt.outcomes.pending_transactions())
+                if (sites := rt.outcomes.forwarded_sites(txn))
+            },
             "pending_notifies": [
                 [txn, site, committed]
                 for (txn, site), committed in sorted(
@@ -420,48 +435,53 @@ class DatabaseSite:
     def restore_durable(self, snapshot: Dict[str, object]) -> None:
         """Rebuild durable state from :meth:`durable_snapshot` output.
 
-        Call on a down site, before :meth:`recover`.  Volatile state is
-        cleared; the outcome table is rebuilt from the restored
-        polyvalues themselves (they *are* the durable record of which
-        items depend on which in-doubt transactions).
+        Call on a down site (:meth:`crash` already dropped the volatile
+        state) or a freshly built one, before :meth:`recover`.  The
+        shared structures (outcome log, outcome table, outcome cache,
+        direct doubts) are refilled in place, so whoever holds a
+        reference keeps seeing the live object.  The outcome table's
+        per-item half is rebuilt from the restored polyvalues themselves
+        (they *are* the durable record of which items depend on which
+        in-doubt transactions).
         """
-        from repro.core.serialize import decode_state
-
         rt = self.runtime
         version = snapshot.get("version")
         if version != self.DURABLE_VERSION:
             raise ProtocolError(
-                f"unsupported durable snapshot version {version!r}"
+                f"unsupported durable snapshot version {version!r} "
+                f"(this build reads version {self.DURABLE_VERSION})"
             )
-        rt.known_outcomes = dict(snapshot.get("known_outcomes", {}))
-        rt.direct_doubts = set(snapshot.get("direct_doubts", []))
-        outcome_log = type(rt.outcome_log)()
-        for txn, entry in snapshot.get("outcome_log", {}).items():
-            outcome_log.decide(
-                txn,
-                bool(entry["committed"]),
-                participants=entry.get("unacknowledged", []),
+        if snapshot["site"] != self.site_id:
+            raise ProtocolError(
+                f"snapshot of site {snapshot['site']!r} cannot restore "
+                f"site {self.site_id!r}"
             )
-        rt.outcome_log = outcome_log
-        rt.outcomes = type(rt.outcomes)()
-        for item, value in decode_state(snapshot.get("values", {})).items():
+        rt.known_outcomes.clear()
+        rt.known_outcomes.update(snapshot["known_outcomes"])
+        rt.direct_doubts.clear()
+        rt.direct_doubts.update(snapshot["direct_doubts"])
+        rt.outcome_log.clear()
+        for txn, entry in snapshot["outcome_log"].items():
+            rt.outcome_log.decide(
+                txn, entry["committed"], participants=entry["unacknowledged"]
+            )
+        rt.outcomes.clear()
+        for item, value in decode_state(snapshot["values"]).items():
             rt.store.write(item, value)
             if is_polyvalue(value):
                 rt.outcomes.record_dependencies(value.depends_on(), item)
+        for txn, sites in snapshot["forwarded"].items():
+            for site in sites:
+                rt.outcomes.record_forward(txn, site)
         self._pending_notifies = {
-            (txn, site): bool(committed)
-            for txn, site, committed in snapshot.get("pending_notifies", [])
+            (txn, site): committed
+            for txn, site, committed in snapshot["pending_notifies"]
         }
-        self.participant.restore_durable(
+        self.participant.restore_staged(
             staged={
                 txn: decode_state(staged)
-                for txn, staged in snapshot.get("staged", {}).items()
+                for txn, staged in snapshot["staged"].items()
             },
-            unilateral={
-                txn: bool(choice)
-                for txn, choice in snapshot.get("unilateral", {}).items()
-            },
+            unilateral=snapshot["unilateral"],
         )
-        self.coordinator.restore_sequence(int(snapshot.get("sequence", 0)))
-        self._retry.clear()
-        self._peer_strikes.clear()
+        self.coordinator.sequence = snapshot["sequence"]

@@ -2,22 +2,17 @@
 
 A database using polyvalues must be able to checkpoint *while failures
 are outstanding* — polyvalues are first-class state, not an in-memory
-anomaly.  This module serialises everything a cold restart needs:
+anomaly.  A whole-system snapshot is the data placement (item → site)
+plus every site's :meth:`~repro.txn.site.DatabaseSite.durable_snapshot`
+— the same per-site state a crashed site restarts from, so there is no
+second definition of "durable" here: item values (polyvalues included),
+outcome logs and caches, outcome-table forwarding lists, staged updates,
+coordinator sequences and Paxos acceptor/registrar records all travel.
 
-* data placement (item → site);
-* every item's current value, polyvalues included
-  (:mod:`repro.core.serialize`);
-* every site's durable commit log (undelivered outcomes — without
-  these, an unresolved polyvalue whose transaction actually committed
-  would wrongly resolve to presumed-abort after the restore);
-* every site's cache of already-learned outcomes.
-
-What is *not* persisted is exactly what the protocol treats as
-reconstructible: outcome-table dependencies are rebuilt from the
-polyvalues themselves, and every restored in-doubt transaction is
-marked for active coordinator querying, so a restored system converges
-by the ordinary §3.3 machinery.  Restore targets the same site topology
-(transaction identifiers embed coordinator site names).
+Restoring builds a fresh system on the same site topology (transaction
+identifiers embed coordinator site names) and restarts every site from
+its snapshot — exactly as if the whole cluster had crashed and
+recovered, which is what a restore is.
 """
 
 from __future__ import annotations
@@ -25,40 +20,28 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.errors import ReproError
-from repro.core.polyvalue import depends_on
-from repro.core.serialize import decode_value, encode_value
+from repro.core.serialize import decode_state
 from repro.db.catalog import Catalog
 from repro.txn.config import ProtocolConfig
 from repro.txn.system import DistributedSystem
 
-SNAPSHOT_VERSION = 1
+#: 2: per-site ``durable_snapshot()`` payloads (1 was a private subset).
+SNAPSHOT_VERSION = 2
 
 
 def export_snapshot(system: DistributedSystem) -> Dict[str, Any]:
     """Capture *system*'s durable state as a JSON-compatible dict."""
-    placement: Dict[str, str] = {}
-    values: Dict[str, Any] = {}
-    for site_id, site in system.sites.items():
-        for item in site.runtime.store.items():
-            placement[item] = site_id
-            values[item] = encode_value(site.runtime.store.read(item))
-    outcome_logs: Dict[str, Dict[str, Any]] = {}
-    known: Dict[str, Dict[str, bool]] = {}
-    for site_id, site in system.sites.items():
-        outcome_logs[site_id] = {
-            txn: {
-                "committed": entry.committed,
-                "unacknowledged": sorted(entry.unacknowledged),
-            }
-            for txn, entry in site.runtime.outcome_log.entries().items()
-        }
-        known[site_id] = dict(site.runtime.known_outcomes)
     return {
         "version": SNAPSHOT_VERSION,
-        "placement": placement,
-        "values": values,
-        "outcome_logs": outcome_logs,
-        "known_outcomes": known,
+        "placement": {
+            item: site_id
+            for site_id in system.sites
+            for item in system.catalog.items_at(site_id)
+        },
+        "sites": {
+            site_id: site.durable_snapshot()
+            for site_id, site in system.sites.items()
+        },
     }
 
 
@@ -71,11 +54,9 @@ def import_snapshot(
 ) -> DistributedSystem:
     """Build a fresh system from :func:`export_snapshot` output.
 
-    The restored system resumes outcome resolution on its own: rebuilt
-    polyvalue dependencies are queried at their coordinators, restored
-    commit logs answer those queries, and anything truly unknown
-    resolves by presumed abort — exactly as if the whole cluster had
-    crashed and recovered, which is what a restore is.
+    *config* must name the protocol the snapshot was taken under.  The
+    restored system resumes outcome resolution on its own: every site
+    runs its ordinary crash recovery over the restored state.
     """
     if snapshot.get("version") != SNAPSHOT_VERSION:
         raise ReproError(
@@ -83,40 +64,20 @@ def import_snapshot(
         )
     try:
         placement = dict(snapshot["placement"])
-        encoded_values = snapshot["values"]
-        outcome_logs = snapshot["outcome_logs"]
-        known = snapshot["known_outcomes"]
+        sites = snapshot["sites"]
     except KeyError as error:
         raise ReproError(f"snapshot missing section {error}") from error
-    values = {
-        item: decode_value(encoded_values[item]) for item in placement
-    }
-    catalog = Catalog.from_mapping(placement)
+    values: Dict[str, Any] = {}
+    for site_snapshot in sites.values():
+        values.update(decode_state(site_snapshot["values"]))
     system = DistributedSystem(
-        catalog=catalog,
+        catalog=Catalog.from_mapping(placement),
         initial_values=values,
         seed=seed,
         config=config,
         **network_kwargs,
     )
     for site_id, site in system.sites.items():
-        runtime = site.runtime
-        # Restore the durable outcome knowledge.
-        for txn, outcome in known.get(site_id, {}).items():
-            runtime.known_outcomes[txn] = bool(outcome)
-        for txn, entry in outcome_logs.get(site_id, {}).items():
-            runtime.outcome_log.decide(
-                txn,
-                bool(entry["committed"]),
-                participants=list(entry.get("unacknowledged", ())),
-            )
-        # Rebuild the §3.3 dependency bookkeeping from the polyvalues
-        # themselves, and mark every dependency for active querying:
-        # after a full-cluster restore there is no forwarding chain
-        # left to rely on.
-        for item in runtime.store.polyvalued_items():
-            value = runtime.store.read(item)
-            for txn in depends_on(value):
-                runtime.outcomes.record_dependency(txn, item)
-                runtime.direct_doubts.add(txn)
+        site.restore_durable(sites[site_id])
+        site.recover()
     return system
