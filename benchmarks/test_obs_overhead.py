@@ -46,10 +46,9 @@ def _drive(system, transactions=60):
     for index in range(transactions):
         system.submit(bump(item_names[index % len(item_names)]))
         system.run_for(0.05)
-    # Drain through the quiescence predicate rather than a fixed-length
-    # run: this exercises the engine's indexed event heap
-    # (next_time_except) on the same hot path the correctness harness
-    # uses, and stops as soon as all protocol work is done.
+    # Drain through the quiescence counter rather than a fixed-length
+    # run: the same hot path the correctness harness uses, and it stops
+    # as soon as all protocol work is done.
     system.run_to_quiescence(max_time=system.sim.now + 2.0)
 
 

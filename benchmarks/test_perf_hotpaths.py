@@ -1,8 +1,8 @@
 """Guard: the hot-path performance layer actually pays for itself.
 
 The perf layer has three tiers — interned/memoized condition algebra,
-sim/net fast paths (indexed event heap, delivery batching, polyvalue
-fast paths), and the ``python -m repro bench`` measurement harness.
+sim/net fast paths (quiescence as a counter, polyvalue fast paths), and
+the ``python -m repro bench`` measurement harness.
 These benchmarks pin the *machine-relative* contracts: the optimised
 path must beat the same workload with the optimisation disabled in
 this very process.  Absolute ops/s belong in ``BENCH_perf.json``, not
@@ -11,12 +11,15 @@ in assertions — they would flake across runners.
 Run the heavyweight set with ``pytest benchmarks/ --runslow``.
 """
 
+import time
+
 import pytest
 
 from repro import bench
 from repro.core import conditions
 from repro.core.conditions import Condition
 from repro.core.polyvalue import Polyvalue
+from repro.txn.system import DistributedSystem
 
 # Short budgets keep the default run snappy; the ratios they produce
 # are noisier than full mode but far above the asserted floors.
@@ -72,8 +75,46 @@ class TestPolyvalueFastPaths:
         assert pv.reduce({"UNRELATED": True}) is pv
 
 
+class TestQuiescenceCounter:
+    FOREGROUND = 20_000
+    BACKGROUND = 10_000
+
+    def _loaded_system(self):
+        system = DistributedSystem.build(sites=1, items={"a": 0}, seed=0)
+        for index in range(self.BACKGROUND):
+            system.sim.schedule(10.0 + index, lambda: None, label="arrival")
+        for index in range(self.FOREGROUND):
+            system.sim.schedule(
+                0.5 * (index + 1) / self.FOREGROUND, lambda: None, label="work"
+            )
+        return system
+
+    def _best_of(self, drain, rounds=3):
+        best = float("inf")
+        for _ in range(rounds):
+            system = self._loaded_system()
+            start = time.perf_counter()
+            drain(system)
+            best = min(best, time.perf_counter() - start)
+            assert system.sim.events_processed == self.FOREGROUND
+        return best
+
+    def test_draining_to_quiescence_costs_no_more_than_run_until(self):
+        # Asking "is anything but background work pending" after every
+        # event is a counter read: a long queue of pending background
+        # events must not make the quiescence loop slower than the
+        # plain time-bounded loop over the same events.
+        plain = self._best_of(lambda system: system.run_until(0.5))
+        counted = self._best_of(lambda system: system.run_to_quiescence())
+        plain = min(plain, self._best_of(lambda system: system.run_until(0.5)))
+        assert counted <= plain * 1.5 + 0.002, (
+            f"run_to_quiescence {counted * 1000:.1f}ms vs run_until "
+            f"{plain * 1000:.1f}ms over the same {self.FOREGROUND} events"
+        )
+
+
 class TestExplorerThroughput:
-    def test_explorer_runs_clean_through_the_indexed_heap(self):
+    def test_explorer_smoke_budget_runs_clean(self):
         report = bench.bench_explorer(seeds=3)
         assert report["ok"]
         assert report["schedules"] > 0

@@ -281,7 +281,7 @@ def _gray_campaign_run(resilient: bool, seed: int, duration: float) -> Dict[str,
     system.run_until(duration)
     system.restore_site("site-2")
     system.network.clear_link("site-0", "site-1")
-    settled = system.settle(max_time=system.sim.now + 120.0)
+    settled = system.settle(max_time=system.now + 120.0)
     oracles = check_converged(CheckContext(system=system))
     return {
         "spurious_installs": system.metrics.in_doubt_windows,
@@ -310,16 +310,16 @@ def _outage_detection_run(resilient: bool, seed: int) -> float:
     system.submit(_resilience_transfer("item-0", "item-1"))
     system.run_for(0.030)  # mid-protocol: the in-doubt window is open
     before = system.metrics.in_doubt_windows
-    crashed_at = system.sim.now
+    crashed_at = system.now
     system.crash_site("site-0")
     while (
         system.metrics.in_doubt_windows == before
-        and system.sim.now < crashed_at + 30.0
+        and system.now < crashed_at + 30.0
     ):
         system.run_for(0.005)
-    latency = system.sim.now - crashed_at
+    latency = system.now - crashed_at
     system.recover_site("site-0")
-    system.settle(max_time=system.sim.now + 60.0)
+    system.settle(max_time=system.now + 60.0)
     return latency
 
 
@@ -344,13 +344,13 @@ def _retransmission_run(flat: bool, seed: int) -> int:
     )
     system.submit(_resilience_transfer("item-0", "item-1"))
     log = system.sites["site-0"].runtime.outcome_log
-    while not log.pending() and system.sim.now < 1.0:
+    while not log.pending() and system.now < 1.0:
         system.run_for(0.002)
     system.crash_site("site-1")
     system.run_for(OUTAGE_DURATION)
     sends = system.metrics.notify_retransmissions
     system.recover_site("site-1")
-    system.settle(max_time=system.sim.now + 60.0)
+    system.settle(max_time=system.now + 60.0)
     return sends
 
 

@@ -461,11 +461,11 @@ def run_schedule(
             if system.run_to_quiescence(max_time=next_at):
                 checkpoints += 1
                 note(
-                    f"quiescent@t={system.sim.now:.3f} after "
+                    f"quiescent@t={system.now:.3f} after "
                     f"{action.kind}({','.join(action.targets)})",
                     check_quiescent(ctx),
                 )
-        system.run_until(max(system.sim.now, schedule.horizon))
+        system.run_until(max(system.now, schedule.horizon))
         # Finalisation: deterministically repair everything, then let
         # the section 3.3 machinery resolve all remaining uncertainty.
         system.network.heal_all()
@@ -473,16 +473,16 @@ def run_schedule(
         for site in system.down_sites():
             system.recover_site(site)
         converged = system.settle(
-            max_time=system.sim.now + settle_budget, step=0.5
+            max_time=system.now + settle_budget, step=0.5
         )
-        system.run_to_quiescence(max_time=system.sim.now + 5.0)
+        system.run_to_quiescence(max_time=system.now + 5.0)
         checkpoints += 1
         final_verdicts = check_converged(ctx)
-        note(f"converged@t={system.sim.now:.3f}", final_verdicts)
+        note(f"converged@t={system.now:.3f}", final_verdicts)
     except Exception as error:  # noqa: BLE001 — a crash IS a finding
         violations.append(
             Violation(
-                phase=f"exception@t={system.sim.now:.3f}",
+                phase=f"exception@t={system.now:.3f}",
                 oracle="no-crash",
                 details=f"{type(error).__name__}: {error}",
             )

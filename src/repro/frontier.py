@@ -134,12 +134,12 @@ def _frontier_trial(task: Tuple[str, Schedule]) -> Dict[str, Any]:
     for action in sorted(schedule.actions, key=lambda entry: entry.at):
         system.run_until(action.at)
         script.apply(action)
-    system.run_until(max(system.sim.now, schedule.horizon))
+    system.run_until(max(system.now, schedule.horizon))
     system.network.heal_all()
     system.network.clear_degradations()
     for site in system.down_sites():
         system.recover_site(site)
-    settled = system.settle(max_time=system.sim.now + 120.0, step=0.5)
+    settled = system.settle(max_time=system.now + 120.0, step=0.5)
     metrics = system.metrics
     return {
         "protocol": protocol,

@@ -255,20 +255,6 @@ class RandomFailures:
     sites:
         Which sites may crash.  A site that is already down when its
         next crash fires simply reschedules.
-    gray_rate:
-        Expected gray episodes per simulated second, per site (default
-        0: fail-stop only, preserving existing seeded streams).  Each
-        episode degrades the site by *degrade_factor* — or, when a
-        *network* is supplied, may instead spike one outgoing link by
-        *spike_factor* (a 50/50 choice) — for an exponentially
-        distributed duration of mean *mean_gray*.
-    mean_gray:
-        Mean gray-episode duration, in simulated seconds.
-    degrade_factor / spike_factor:
-        Latency multipliers applied during an episode.
-    network:
-        Gray-capable network (needed for link spikes; degradation falls
-        back to the crash target's ``degrade_site`` when absent).
     """
 
     def __init__(
@@ -280,20 +266,11 @@ class RandomFailures:
         crash_rate: float,
         mean_repair: float,
         sites: Sequence[SiteId],
-        gray_rate: float = 0.0,
-        mean_gray: float = 1.0,
-        degrade_factor: float = 5.0,
-        spike_factor: float = 10.0,
-        network: "PartitionableNetwork | None" = None,
     ) -> None:
         if crash_rate < 0:
             raise SimulationError(f"crash_rate must be >= 0, got {crash_rate}")
         if mean_repair <= 0:
             raise SimulationError(f"mean_repair must be > 0, got {mean_repair}")
-        if gray_rate < 0:
-            raise SimulationError(f"gray_rate must be >= 0, got {gray_rate}")
-        if mean_gray <= 0:
-            raise SimulationError(f"mean_gray must be > 0, got {mean_gray}")
         if not sites:
             raise SimulationError("RandomFailures needs at least one site")
         self._sim = sim
@@ -303,19 +280,10 @@ class RandomFailures:
         self._mean_repair = mean_repair
         self._sites = list(sites)
         self._down: set = set()
-        self._gray_rate = gray_rate
-        self._mean_gray = mean_gray
-        self._degrade_factor = degrade_factor
-        self._spike_factor = spike_factor
-        self._network = network
         self.crashes_injected = 0
-        self.gray_injected = 0
         if crash_rate > 0:
             for site in self._sites:
                 self._schedule_next_crash(site)
-        if gray_rate > 0:
-            for site in self._sites:
-                self._schedule_next_gray(site)
 
     def _schedule_next_crash(self, site: SiteId) -> None:
         delay = self._rng.exponential(1.0 / self._crash_rate)
@@ -335,50 +303,3 @@ class RandomFailures:
     def _recover(self, site: SiteId) -> None:
         self._down.discard(site)
         self._target.recover_site(site)
-
-    # -- gray episodes -------------------------------------------------
-
-    def _schedule_next_gray(self, site: SiteId) -> None:
-        delay = self._rng.exponential(1.0 / self._gray_rate)
-        self._sim.schedule(delay, lambda: self._gray(site), label=f"gray:{site}")
-
-    def _gray(self, site: SiteId) -> None:
-        self.gray_injected += 1
-        duration = self._rng.exponential(self._mean_gray)
-        peers = [s for s in self._sites if s != site]
-        use_spike = (
-            self._network is not None
-            and peers
-            and self._rng.bernoulli(0.5)
-        )
-        if use_spike:
-            peer = self._rng.choice(peers)
-            self._network.spike_link(site, peer, self._spike_factor)
-            self._sim.schedule(
-                duration,
-                lambda: self._network.clear_link(site, peer),
-                label=f"gray:{site}",
-            )
-        else:
-            driver = (
-                self._target
-                if hasattr(self._target, "degrade_site")
-                else self._network
-            )
-            if driver is not None:
-                driver.degrade_site(site, self._degrade_factor)
-                self._sim.schedule(
-                    duration,
-                    lambda: self._restore(site),
-                    label=f"gray:{site}",
-                )
-        self._schedule_next_gray(site)
-
-    def _restore(self, site: SiteId) -> None:
-        driver = (
-            self._target
-            if hasattr(self._target, "restore_site")
-            else self._network
-        )
-        if driver is not None:
-            driver.restore_site(site)

@@ -1,8 +1,12 @@
 """The simulated point-to-point network.
 
 Sites register a delivery handler; :meth:`Network.send` schedules a
-delivery event after a (seeded) random latency.  The network models the
-failure modes the paper's protocol must survive:
+delivery event after a (seeded) random latency — one simulator event
+per delivered copy, so a run's event count is deliveries plus timers.
+Every send, delivery and drop is reported on the event bus
+(``msg.send`` / ``msg.deliver`` / ``msg.drop``), the one way to observe
+the transport.  The network models the failure modes the paper's
+protocol must survive:
 
 * **site crashes** — messages addressed to (or sent by) a crashed site
   are silently dropped, the fail-stop model of Gray-style 2PC;
@@ -35,8 +39,8 @@ timeouts are the recovery mechanism, exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Set, Tuple
 
 from repro.core.errors import NetworkError
 from repro.net.message import Envelope, SiteId
@@ -68,24 +72,6 @@ class NetworkStats:
             + self.dropped_loss
             + self.dropped_corrupt
         )
-
-
-@dataclass
-class _DeliveryBatch:
-    """Envelopes sharing one simulator event.
-
-    Back-to-back sends that would arrive at the same instant (a
-    broadcast with zero jitter is the common case) are coalesced into a
-    single scheduled event.  ``seq`` is the sequence number of that
-    event: an envelope may only join the batch while
-    ``sim.next_sequence == seq + 1`` — i.e. while no other event has
-    been scheduled since — which makes batching provably
-    order-equivalent to scheduling each delivery individually.
-    """
-
-    time: float
-    seq: int
-    envelopes: List[Envelope] = field(default_factory=list)
 
 
 class Network:
@@ -148,8 +134,6 @@ class Network:
         self._degraded: Dict[SiteId, float] = {}
         self._link_spikes: Dict[Tuple[SiteId, SiteId], float] = {}
         self._oneway: Set[Tuple[SiteId, SiteId]] = set()
-        self._observers: list = []
-        self._batch: Optional[_DeliveryBatch] = None
         self.stats = NetworkStats()
 
     @property
@@ -159,22 +143,7 @@ class Network:
         latency sanity checks are expressed in."""
         return self._base_latency
 
-    def subscribe(self, observer: Callable[[str, Envelope, float], None]) -> None:
-        """Attach a transport observer (e.g. a protocol tracer).
-
-        The observer is called as ``observer(event, envelope, time)``
-        with events ``"send"``, ``"deliver"``, ``"drop:site-down"``,
-        ``"drop:partition"``, ``"drop:loss"`` and ``"drop:corrupt"``.
-        Observers must not mutate the envelope or send messages
-        re-entrantly.
-        """
-        self._observers.append(observer)
-
     def _notify(self, event: str, envelope: Envelope) -> None:
-        if not self._observers and self._bus is None:
-            return
-        for observer in self._observers:
-            observer(event, envelope, self._sim.now)
         bus = self._bus
         if bus:
             dropped = event.startswith("drop")
@@ -378,38 +347,14 @@ class Network:
         )
 
     def _schedule_delivery(self, latency: float, envelope: Envelope) -> None:
-        at = self._sim.now + latency
-        batch = self._batch
-        if (
-            batch is not None
-            and batch.time == at
-            and self._sim.next_sequence == batch.seq + 1
-        ):
-            # Nothing was scheduled since the batch's own event, so this
-            # envelope fires at the same position it would have had as a
-            # standalone event — join the batch instead of growing the
-            # simulator's heap.
-            batch.envelopes.append(envelope)
-            return
-        batch = _DeliveryBatch(time=at, seq=self._sim.next_sequence)
-        batch.envelopes.append(envelope)
-        self._batch = batch
         self._sim.schedule_at(
-            at,
-            lambda: self._deliver_batch(batch),
+            self._sim.now + latency,
+            lambda: self._deliver_batch(envelope),
             label=f"deliver:{envelope.sender}->{envelope.recipient}",
         )
 
-    def _deliver_batch(self, batch: _DeliveryBatch) -> None:
-        # Close the batch before delivering: a handler may send again at
-        # zero latency, and those messages must open a fresh batch (their
-        # event necessarily fires after this one).
-        if self._batch is batch:
-            self._batch = None
-        for envelope in batch.envelopes:
-            self._deliver(envelope)
-
-    def _deliver(self, envelope: Envelope) -> None:
+    # One envelope, one event; the benchmark's traced seam owns the name.
+    def _deliver_batch(self, envelope: Envelope) -> None:
         if envelope.recipient in self._down:
             self.stats.dropped_site_down += 1
             self._notify("drop:site-down", envelope)

@@ -116,23 +116,19 @@ class AsyncioRuntime(Runtime):
         host: str = "127.0.0.1",
         data_dir: Optional[str] = None,
         seed: int = 0,
-        encode: Optional[Callable[[Envelope], bytes]] = None,
-        decode: Optional[Callable[[bytes], Envelope]] = None,
     ) -> None:
         super().__init__()
         self.host = host
         self.data_dir = data_dir
         self.durable = data_dir is not None
         self._seed = seed
-        if encode is None or decode is None:
-            # Default codec; imported lazily because repro.live depends
-            # on repro.txn message types, not the other way around.
-            from repro.live import wire
+        # Imported here, not at module level: repro.live imports this
+        # module, and the benchmark's tracer replaces wire's functions
+        # before a runtime is built.
+        from repro.live import wire
 
-            encode = encode if encode is not None else wire.encode_envelope
-            decode = decode if decode is not None else wire.decode_envelope
-        self._encode = encode
-        self._decode = decode
+        self._encode = wire.encode_envelope
+        self._decode = wire.decode_envelope
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0.0
         self._handlers: Dict[SiteId, Callable[[Any], None]] = {}
@@ -342,12 +338,10 @@ class AsyncioRuntime(Runtime):
             writer = self._writers.get(recipient)
             for attempt in (0, 1):
                 if writer is None:
-                    port = self._ports.get(recipient)
-                    if port is None:
-                        self._lose_frame()
-                        return
                     try:
-                        _, writer = await asyncio.open_connection(self.host, port)
+                        _, writer = await asyncio.open_connection(
+                            self.host, self._ports[recipient]
+                        )
                     except OSError:
                         self._lose_frame()
                         return

@@ -42,13 +42,9 @@ from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
 from repro.core.errors import ReproError, SimulationError
 from repro.net.message import SiteId
 
-
-#: Timer-label prefixes that do not count against quiescence: the
-#: per-site outcome-maintenance loops and workload arrival streams
-#: reschedule themselves forever, so "no timers pending" never happens;
-#: "nothing pending but background periodics" is the meaningful notion
-#: of an idle system.
-BACKGROUND_LABELS = ("outcome-maintenance", "workload-arrival", "arrival")
+# Defined beside the simulator's counter, which classifies by it;
+# re-exported because it is part of the ``quiescent()`` contract.
+from repro.sim.events import BACKGROUND_LABELS  # noqa: F401
 
 
 class DurableStateError(ReproError):
@@ -118,10 +114,12 @@ class Runtime:
     ) -> TimerHandle:
         """Run *action* after *delay* seconds; returns a cancellable handle.
 
-        *label* is diagnostic (the simulator uses it for quiescence
-        filtering and traces).  *site* attributes the timer to a site
-        so durable runtimes can checkpoint that site's state after the
-        action runs.
+        *label* names the timer in traces and classifies it: a label
+        starting with a :data:`BACKGROUND_LABELS` prefix is a
+        self-rescheduling periodic; any other timer counts against
+        :meth:`quiescent` from now until it fires or is cancelled.
+        *site* attributes the timer to a site so durable runtimes can
+        checkpoint that site's state after the action runs.
         """
         raise NotImplementedError
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 
 from repro.net.message import SiteId
 from repro.net.network import Network
-from repro.runtime.base import BACKGROUND_LABELS, Runtime, TimerHandle
+from repro.runtime.base import Runtime, TimerHandle
 from repro.sim.engine import Simulator
 from repro.sim.rand import Rng
 
@@ -69,4 +69,4 @@ class SimRuntime(Runtime):
         self.network.recover_site(site)
 
     def quiescent(self) -> bool:
-        return self.sim.next_time_except(BACKGROUND_LABELS) is None
+        return self.sim.foreground_pending == 0

@@ -9,15 +9,20 @@ cancel (e.g. a participant cancels its wait-phase timeout when the
 The engine is intentionally minimal — no processes, no coroutines — and
 fully deterministic for a fixed schedule: ties in firing time break by
 scheduling order.
+
+Quiescence — "nothing pending but the background periodics" — is a
+counter, not a search: the simulator counts foreground events in at
+:meth:`Simulator.schedule_at` and out when they fire or are cancelled,
+so asking costs the same at every queue length.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.core.errors import SimulationError
-from repro.sim.events import Action, Event, SimTime
+from repro.sim.events import BACKGROUND_LABELS, Action, Event, SimTime
 
 
 class Simulator:
@@ -39,18 +44,11 @@ class Simulator:
         self._queue: List[Event] = []
         self._sequence = 0
         self._processed = 0
-        self._running = False
-        #: Secondary index: per label-class min-heaps, used by
-        #: ``next_time_except`` to answer "earliest non-background event"
-        #: in O(#classes) instead of scanning the whole queue.  Built
-        #: lazily, and only once the queue is big enough for the index
-        #: to beat a plain scan, so simulations that never ask (e.g. the
-        #: Monte-Carlo harness) or stay tiny (the check explorer's short
-        #: schedules) pay nothing.
-        self._class_heaps: Optional[Dict[str, List[Event]]] = None
-        #: Memoized per-class treatment for each distinct ignore-prefix
-        #: tuple (the system facade always passes the same one).
-        self._class_modes: Dict[Tuple[str, ...], Dict[str, int]] = {}
+        #: Pending, uncancelled events whose label is not a
+        #: ``BACKGROUND_LABELS`` periodic: raised in :meth:`schedule_at`,
+        #: lowered when the event fires (:meth:`step`) or is cancelled
+        #: (``Event.cancel``).  Quiescence is this counter at zero.
+        self._foreground = 0
         #: Optional observability bus (attached by the system facade).
         #: Checked once per ``run_until`` window, never per event, so an
         #: unobserved simulation pays nothing on the hot loop.
@@ -71,147 +69,16 @@ class Simulator:
         return self._processed
 
     @property
-    def next_sequence(self) -> int:
-        """The sequence number the next scheduled event will receive.
-
-        Tie-breaking at equal firing times is by sequence, so a component
-        that batches work (e.g. the network's same-tick delivery batch)
-        can use this to prove no event was interleaved since it last
-        scheduled — appending to the batch is then order-equivalent to
-        scheduling a fresh event.
-        """
-        return self._sequence
-
-    @property
     def events_pending(self) -> int:
         """How many events are scheduled and not cancelled."""
         return sum(1 for event in self._queue if not event.cancelled)
 
-    #: Queue size below which ``next_time_except`` answers with a plain
-    #: scan instead of building (and then maintaining) the class index.
-    _INDEX_THRESHOLD = 64
-
-    @staticmethod
-    def _class_of(label: str) -> str:
-        """The label class: everything before the first ``:``.
-
-        Labels follow a ``family:detail`` convention ("deliver:…",
-        "compute-timeout:T3"), so the class is the family name and the
-        number of classes is small and bounded.
-        """
-        return label.split(":", 1)[0]
-
-    def _build_class_index(self) -> Dict[str, List[Event]]:
-        heaps: Dict[str, List[Event]] = {}
-        for event in self._queue:
-            if not event.cancelled:
-                heaps.setdefault(self._class_of(event.label), []).append(event)
-        for heap in heaps.values():
-            heapq.heapify(heap)
-        self._class_heaps = heaps
-        return heaps
-
-    def next_time_except(self, ignore_prefixes: Tuple[str, ...]) -> Optional[SimTime]:
-        """The firing time of the earliest pending event whose label does
-        not start with any of *ignore_prefixes* (None if no such event).
-
-        The quiescence loops (:meth:`run_until_quiescent`, the system
-        facade, the check explorer) call this once per fired event, so it
-        is served from the per-class index: each class answers from its
-        heap head unless an ignore prefix reaches *into* the class (e.g.
-        ``deliver:site1`` against class ``deliver``), in which case only
-        that class degrades to a scan.  Fired and cancelled events are
-        discarded lazily at the heads.
-        """
-        heaps = self._class_heaps
-        if heaps is None:
-            if len(self._queue) <= self._INDEX_THRESHOLD:
-                # Tiny queue: a straight scan beats index bookkeeping.
-                best: Optional[SimTime] = None
-                for event in self._queue:
-                    if event.cancelled or event.label.startswith(ignore_prefixes):
-                        continue
-                    if best is None or event.time < best:
-                        best = event.time
-                return best
-            heaps = self._build_class_index()
-        modes = self._class_modes.get(ignore_prefixes)
-        if modes is None:
-            modes = self._class_modes[ignore_prefixes] = {}
-        best = None
-        empty: List[str] = []
-        for cls, heap in heaps.items():
-            while heap and (heap[0].cancelled or heap[0].fired):
-                heapq.heappop(heap)
-            if not heap:
-                empty.append(cls)
-                continue
-            mode = modes.get(cls)
-            if mode is None:
-                # An ignore prefix that is itself a prefix of the class
-                # name ignores every label in the class (all labels start
-                # with the class name); a longer prefix that starts with
-                # the class name may match only some labels and degrades
-                # that one class to a scan.
-                if any(cls.startswith(prefix) for prefix in ignore_prefixes):
-                    mode = 1
-                elif any(
-                    prefix.startswith(cls) and len(prefix) > len(cls)
-                    for prefix in ignore_prefixes
-                ):
-                    mode = 2
-                else:
-                    mode = 0
-                modes[cls] = mode
-            if mode == 1:
-                continue
-            if mode == 2:
-                for event in heap:
-                    if event.cancelled or event.fired:
-                        continue
-                    if event.label.startswith(ignore_prefixes):
-                        continue
-                    if best is None or event.time < best:
-                        best = event.time
-                continue
-            if best is None or heap[0].time < best:
-                best = heap[0].time
-        for cls in empty:
-            del heaps[cls]
-        return best
-
-    def run_until_quiescent(
-        self,
-        *,
-        ignore_prefixes: Tuple[str, ...] = (),
-        max_time: Optional[SimTime] = None,
-        max_events: int = 1_000_000,
-    ) -> bool:
-        """Run until only ignored (maintenance) events remain pending.
-
-        Returns True when quiescence was reached; False when *max_time*
-        arrived first (the clock is then left at *max_time*).  Ignored
-        events that come due along the way still fire — they are real
-        behaviour (and may themselves schedule new non-ignored work,
-        which extends the run); they just do not count against
-        quiescence.
-        """
-        fired = 0
-        while True:
-            pending = self.next_time_except(ignore_prefixes)
-            if pending is None:
-                return True
-            if max_time is not None and pending > max_time:
-                self.run_until(max_time)
-                return False
-            if not self.step():
-                return True
-            fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"run_until_quiescent exceeded {max_events} events; "
-                    "likely livelock"
-                )
+    @property
+    def foreground_pending(self) -> int:
+        """How many pending, uncancelled events are not
+        ``BACKGROUND_LABELS`` periodics — zero is quiescence.  A
+        counter, not a scan."""
+        return self._foreground
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -231,16 +98,22 @@ class Simulator:
             )
         event = Event(time=time, seq=self._sequence, action=action, label=label)
         self._sequence += 1
+        if not label.startswith(BACKGROUND_LABELS):
+            event.counted_by = self
+            self._foreground += 1
         heapq.heappush(self._queue, event)
-        if self._class_heaps is not None:
-            heapq.heappush(
-                self._class_heaps.setdefault(self._class_of(label), []), event
-            )
         return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def _peek(self) -> Optional[Event]:
+        """The next event that will fire (None when none remain)."""
+        queue = self._queue
+        while queue and queue[0].cancelled:
+            heapq.heappop(queue)
+        return queue[0] if queue else None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False when none remain."""
@@ -248,7 +121,9 @@ class Simulator:
             event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            event.fired = True
+            if event.counted_by is not None:
+                event.counted_by = None
+                self._foreground -= 1
             self._now = event.time
             self._processed += 1
             event.action()
@@ -277,12 +152,9 @@ class Simulator:
             )
         window_start = self._now
         fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if head.time > time:
+        while True:
+            head = self._peek()
+            if head is None or head.time > time:
                 break
             self.step()
             fired += 1
@@ -297,6 +169,35 @@ class Simulator:
                 since=window_start,
                 events=fired,
             )
+
+    def run_until_quiescent(
+        self,
+        *,
+        max_time: Optional[SimTime] = None,
+        max_events: int = 1_000_000,
+    ) -> bool:
+        """Run until only background (maintenance) events remain pending.
+
+        Returns True when quiescence was reached; False when the next
+        event lies beyond *max_time* (the clock is then left at
+        *max_time*).  Background events that come due along the way
+        still fire — they are real behaviour (and may themselves
+        schedule new foreground work, which extends the run); they just
+        do not count against quiescence.
+        """
+        fired = 0
+        while self._foreground:
+            if max_time is not None and self._peek().time > max_time:
+                self.run_until(max_time)
+                return False
+            self.step()
+            fired += 1
+            if fired >= max_events:
+                raise SimulationError(
+                    f"run_until_quiescent exceeded {max_events} events; "
+                    "likely livelock"
+                )
+        return True
 
     def run_while(
         self, predicate: Callable[[], bool], *, max_events: int = 10_000_000

@@ -29,7 +29,6 @@ from repro.db.catalog import Catalog
 from repro.net.message import SiteId
 from repro.net.network import Network
 from repro.obs.events import EventBus
-from repro.runtime.base import BACKGROUND_LABELS
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.rand import Rng
@@ -136,9 +135,7 @@ class DistributedSystem(Cluster):
         Returns True when quiescence was reached.  Maintenance events
         that come due still fire (they are part of normal behaviour).
         """
-        return self.sim.run_until_quiescent(
-            ignore_prefixes=BACKGROUND_LABELS, max_time=max_time
-        )
+        return self.sim.run_until_quiescent(max_time=max_time)
 
     def settle(self, *, max_time: float, step: float = 1.0) -> bool:
         """Run maintenance rounds until the database :meth:`converged`.

@@ -178,7 +178,7 @@ class ExperimentRunner:
             self._workload.stop()
         system.run_for(settle)
         settled = settle
-        while settled < max_settle and not self._quiet():
+        while settled < max_settle and not system.converged():
             system.run_for(settle_step)
             settled += settle_step
         self._record_workload_deltas(before)
@@ -206,14 +206,6 @@ class ExperimentRunner:
                 counter.inc(
                     now - then, workload=self._workload_name, outcome=outcome
                 )
-
-    def _quiet(self) -> bool:
-        system = self._system
-        return (
-            system.total_polyvalues() == 0
-            and system.outcome_bookkeeping_size() == 0
-            and not system.pending_handles()
-        )
 
     def _handles(self) -> List[TransactionHandle]:
         return list(self._system.handles)

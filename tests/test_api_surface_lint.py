@@ -19,6 +19,11 @@ A second rule extends the seam upward: the workload generators and the
 oracles judge either kind of cluster, so they may not reach through one
 for its simulator — no ``<x>.sim.<y>`` or ``<x>.network.<y>`` attribute
 access in ``src/repro/workloads`` or ``src/repro/check/oracles.py``.
+
+A third rule holds the campaign drivers (explorer, chaos, frontier,
+bench) to the part of that seam they have already crossed: they still
+reach for the simulated network's fault vocabulary, but the clock is
+``cluster.now`` — no ``<x>.sim.now``.
 """
 
 from __future__ import annotations
@@ -86,6 +91,11 @@ def _sim_reaches(path: pathlib.Path) -> list:
     ]
 
 
+def _clock_reaches(path: pathlib.Path) -> list:
+    """Every ``<x>.sim.now`` read."""
+    return [v for v in _sim_reaches(path) if v.endswith(": .sim.now")]
+
+
 def txn_modules():
     return sorted(
         p for p in TXN_DIR.glob("*.py") if p.name not in EXEMPT
@@ -95,6 +105,15 @@ def txn_modules():
 def runtime_neutral_modules():
     return sorted((SRC_DIR / "workloads").glob("*.py")) + [
         SRC_DIR / "check" / "oracles.py"
+    ]
+
+
+def campaign_drivers():
+    return [
+        SRC_DIR / "check" / "explorer.py",
+        SRC_DIR / "chaos.py",
+        SRC_DIR / "frontier.py",
+        SRC_DIR / "bench.py",
     ]
 
 
@@ -145,6 +164,27 @@ def test_lint_catches_a_sim_reach(tmp_path):
         encoding="utf-8",
     )
     assert len(_sim_reaches(bad)) == 2
+
+
+@pytest.mark.parametrize("path", campaign_drivers(), ids=lambda p: p.name)
+def test_campaign_driver_reads_the_clock_from_the_cluster(path):
+    violations = _clock_reaches(path)
+    assert not violations, (
+        "read the clock as cluster.now, not through the simulator:\n  "
+        + "\n  ".join(violations)
+    )
+
+
+def test_lint_catches_a_clock_reach(tmp_path):
+    """The clock rule is live: only the ``.sim.now`` read is reported."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(system):\n"
+        "    system.network.heal_all()\n"
+        "    return system.sim.now, system.now\n",
+        encoding="utf-8",
+    )
+    assert _clock_reaches(bad) == ["bad.py:3: .sim.now"]
 
 
 def test_exempt_system_module_is_the_composition_root():

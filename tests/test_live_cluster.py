@@ -279,6 +279,143 @@ class TestAsyncioQuiescence:
         assert run(scenario()) == (True, False, True, False, True)
 
 
+    # -- the loss paths: every frame counted in is counted out ---------
+
+    @staticmethod
+    async def _pair():
+        """A started runtime with two listening sites; site-1 records."""
+        rt = AsyncioRuntime()
+        await rt.start()
+        received = []
+        for site in ("site-0", "site-1"):
+            await rt.listen(site)
+        rt.register("site-1", received.append)
+        return rt, received
+
+    @staticmethod
+    async def _settled(rt, timeout=2.0):
+        """Bounded wait for quiescence; the verdict, not an exception."""
+        deadline = rt.now + timeout
+        while not rt.quiescent() and rt.now < deadline:
+            await asyncio.sleep(0.005)
+        return rt.quiescent()
+
+    READY = Ready(txn="T1", site="site-0")
+
+    def test_sends_that_never_become_frames_are_dropped_uncounted(self):
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                rt.mark_down("site-0")
+                rt.send("site-0", "site-1", self.READY)
+                rt.send("site-1", "nowhere", self.READY)
+                rt.send("site-1", "site-1", object())  # not encodable
+                return rt.quiescent(), rt._in_flight, rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        quiescent, in_flight, stats = run(scenario())
+        assert quiescent and in_flight == 0
+        assert (stats["sent"], stats["dropped"]) == (0, 3)
+
+    def test_frame_to_a_closed_server_is_lost_at_connect(self):
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                rt._servers["site-1"].close()
+                await rt._servers["site-1"].wait_closed()
+                rt.send("site-0", "site-1", self.READY)
+                in_flight = rt._in_flight
+                settled = await self._settled(rt)
+                return in_flight, settled, rt._in_flight, received, rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        in_flight, settled, left, received, stats = run(scenario())
+        assert in_flight == 1
+        assert settled and left == 0 and received == []
+        assert (stats["sent"], stats["dropped"], stats["reconnects"]) == (1, 1, 0)
+
+    async def _warm(self, rt, received):
+        """Deliver one frame so the site-1 connection is cached."""
+        rt.send("site-0", "site-1", self.READY)
+        assert await self._settled(rt) and len(received) == 1
+
+    def test_broken_cached_connection_reconnects_once_and_delivers(self):
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                await self._warm(rt, received)
+                rt._writers["site-1"].close()
+                rt.send("site-0", "site-1", self.READY)
+                settled = await self._settled(rt)
+                return settled, rt._in_flight, len(received), rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        settled, left, delivered, stats = run(scenario())
+        assert settled and left == 0 and delivered == 2
+        assert (stats["dropped"], stats["reconnects"]) == (0, 1)
+
+    def test_broken_connection_to_a_closed_server_loses_the_frame(self):
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                await self._warm(rt, received)
+                rt._servers["site-1"].close()
+                await rt._servers["site-1"].wait_closed()
+                rt._writers["site-1"].close()
+                rt.send("site-0", "site-1", self.READY)
+                settled = await self._settled(rt)
+                return settled, rt._in_flight, len(received), rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        settled, left, delivered, stats = run(scenario())
+        assert settled and left == 0 and delivered == 1
+        assert (stats["sent"], stats["dropped"], stats["reconnects"]) == (2, 1, 0)
+
+    def test_frame_is_lost_when_the_reconnected_write_fails_too(self, monkeypatch):
+        open_connection = asyncio.open_connection
+
+        async def open_broken(host, port):
+            reader, writer = await open_connection(host, port)
+            writer.close()
+            await writer.wait_closed()
+            return reader, writer
+
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                rt.send("site-0", "site-1", self.READY)
+                settled = await self._settled(rt)
+                return settled, rt._in_flight, received, rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        monkeypatch.setattr(asyncio, "open_connection", open_broken)
+        settled, left, received, stats = run(scenario())
+        assert settled and left == 0 and received == []
+        assert (stats["sent"], stats["dropped"], stats["reconnects"]) == (1, 1, 1)
+
+    def test_frame_for_a_site_without_a_handler_is_dropped_at_dispatch(self):
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                del rt._handlers["site-1"]
+                rt.send("site-0", "site-1", self.READY)
+                in_flight = rt._in_flight
+                settled = await self._settled(rt)
+                return in_flight, settled, rt._in_flight, received, rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        in_flight, settled, left, received, stats = run(scenario())
+        assert in_flight == 1
+        assert settled and left == 0 and received == []
+        assert (stats["sent"], stats["delivered"], stats["dropped"]) == (1, 0, 1)
+
+
 class TestOneRootServesBothRuntimes:
     """The sim's own judges — the oracle suite and the random-update
     workload generator — run unmodified against a socket cluster."""

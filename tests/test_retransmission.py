@@ -95,15 +95,15 @@ class TestNotifyDedup:
         site0.runtime.outcome_log.decide(txn, True, participants=["site-1"])
         site0._pending_notifies[(txn, "site-1")] = True
         system.crash_site("site-1")  # keep acks from clearing the duty
-        sent = []
-        system.network.subscribe(
-            lambda event, envelope, now: sent.append(envelope.payload)
-            if event == "send"
-            and isinstance(envelope.payload, protocol.OutcomeNotify)
-            and envelope.payload.txn == txn
-            else None
-        )
+        sends = []
+        system.bus.subscribe(sends.append, prefix="msg.send")
         site0._outcome_maintenance()
+        sent = [
+            event
+            for event in sends
+            if isinstance(event.attrs["message"], protocol.OutcomeNotify)
+            and event.txn == txn
+        ]
         assert len(sent) == 1
 
     def test_self_entries_are_acknowledged_not_sent(self):

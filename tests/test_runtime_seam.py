@@ -105,6 +105,22 @@ class TestSimRuntime:
         sim.run_until(1.0)
         assert rt.quiescent()
 
+    def test_a_duplicated_send_is_two_events_delivered_in_send_order(self):
+        sim = Simulator()
+        network = Network(sim, rng=Rng(0), duplicate_probability=1.0, jitter=0.0)
+        rt = SimRuntime(sim, network, rng=Rng(0))
+        got = []
+        rt.register("s2", got.append)
+        rt.send("s1", "s2", "first")
+        rt.send("s1", "s2", "second")
+        assert sim.events_pending == sim.foreground_pending == 4
+        sim.run()
+        assert sim.events_processed == 4
+        assert [envelope.payload for envelope in got] == [
+            "first", "first", "second", "second",
+        ]
+        assert rt.quiescent()
+
     def test_rng_streams_are_forked_and_stable(self):
         _, _, rt = make_sim_runtime()
         _, _, rt2 = make_sim_runtime()

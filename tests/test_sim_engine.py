@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event kernel (repro.sim)."""
 
+import dataclasses
+
 import pytest
 
+from repro.check.explorer import random_walk, run_schedule
 from repro.core.errors import SimulationError
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.events import Event
+from repro.sim.events import BACKGROUND_LABELS, Event
 
 
 class TestScheduling:
@@ -148,6 +151,139 @@ class TestRunControl:
             sim.schedule(float(t + 1), lambda: None)
         sim.run()
         assert sim.events_processed == 3
+
+
+def scan_foreground(sim):
+    """The reference the counter must equal: a scan of the whole queue."""
+    return sum(
+        1
+        for event in sim._queue
+        if not event.cancelled and not event.label.startswith(BACKGROUND_LABELS)
+    )
+
+
+class TestForegroundCounter:
+    """``Simulator.foreground_pending`` is maintained at schedule, fire
+    and cancel; quiescence is that counter at zero."""
+
+    @pytest.mark.parametrize("protocol", [None, "paxos"], ids=["polyvalue", "paxos"])
+    @pytest.mark.parametrize("scenario", ["pair", "transfers", "mixed"])
+    def test_counter_equals_a_queue_scan_after_every_step(
+        self, monkeypatch, scenario, protocol
+    ):
+        step = Simulator.step
+        steps = []
+        mismatches = []
+
+        def checked_step(sim):
+            progressed = step(sim)
+            steps.append(sim.now)
+            scanned = scan_foreground(sim)
+            if sim.foreground_pending != scanned:
+                mismatches.append((sim.now, sim.foreground_pending, scanned))
+            return progressed
+
+        monkeypatch.setattr(Simulator, "step", checked_step)
+        for seed in range(20):
+            schedule = dataclasses.replace(
+                random_walk(scenario, seed, steps=12), protocol=protocol
+            )
+            assert run_schedule(schedule).ok
+        assert len(steps) > 20 * 20
+        assert mismatches == []
+
+    def test_cancel_before_fire_lowers_the_count_once(self):
+        sim = Simulator()
+        keep = sim.schedule(1.0, lambda: None, label="wait-timeout:T1")
+        drop = sim.schedule(2.0, lambda: None, label="wait-timeout:T2")
+        assert sim.foreground_pending == 2
+        drop.cancel()
+        assert sim.foreground_pending == 1
+        drop.cancel()
+        assert sim.foreground_pending == 1
+        sim.run()
+        assert sim.foreground_pending == 0
+        keep.cancel()
+        drop.cancel()
+        assert sim.foreground_pending == 0
+
+    def test_cancel_after_fire_does_not_underflow(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        other = sim.schedule(2.0, lambda: None)
+        sim.run_until(1.5)
+        assert sim.foreground_pending == 1
+        event.cancel()
+        assert sim.foreground_pending == 1
+        other.cancel()
+        assert sim.foreground_pending == 0
+
+    def test_cancel_from_inside_the_action_is_a_noop(self):
+        sim = Simulator()
+        handle = []
+        handle.append(sim.schedule(1.0, lambda: handle[0].cancel()))
+        sim.schedule(2.0, lambda: None)
+        sim.run_until(1.5)
+        assert sim.foreground_pending == 1
+
+    def test_background_events_are_never_counted(self):
+        sim = Simulator()
+        events = [
+            sim.schedule(1.0, lambda: None, label=label)
+            for label in ("outcome-maintenance:s1", "workload-arrival", "arrival")
+        ]
+        assert sim.foreground_pending == 0
+        events[0].cancel()
+        events[0].cancel()
+        assert sim.foreground_pending == 0
+        sim.run()
+        assert sim.foreground_pending == 0
+        assert sim.events_processed == 2
+
+    def test_run_until_quiescent_stops_at_max_time(self):
+        sim = Simulator()
+        fired = []
+        PeriodicTask(
+            sim, 1.0, lambda: fired.append(sim.now), label="outcome-maintenance:s1"
+        )
+        sim.schedule(5.0, lambda: fired.append("late"), label="wait-timeout:T1")
+        assert sim.run_until_quiescent(max_time=3.5) is False
+        assert sim.now == 3.5
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.foreground_pending == 1
+
+    def test_run_until_quiescent_fires_nothing_when_already_quiescent(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("bg"), label="arrival")
+        assert sim.run_until_quiescent(max_time=10.0) is True
+        assert sim.run_until_quiescent() is True
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
+
+    def test_run_until_quiescent_follows_work_scheduled_along_the_way(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(
+            1.0,
+            lambda: sim.schedule(1.0, lambda: fired.append(sim.now), label="t"),
+            label="t",
+        )
+        sim.schedule(9.0, lambda: fired.append("bg"), label="arrival")
+        assert sim.run_until_quiescent() is True
+        assert fired == [2.0]
+        assert sim.now == 2.0
+
+    def test_run_until_quiescent_reports_a_livelock(self):
+        sim = Simulator()
+
+        def again():
+            sim.schedule(1.0, again, label="t")
+
+        again()
+        with pytest.raises(SimulationError):
+            sim.run_until_quiescent(max_events=50)
 
 
 class TestPeriodicTask:
