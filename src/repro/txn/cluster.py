@@ -157,27 +157,10 @@ class Cluster:
             # it fails immediately (the client may retry elsewhere).
             handle.txn = f"unsent@{coordinator}"
             handle.was_delayed_by_failure = True
-            handle.mark_aborted(
-                self.now, f"coordinator site {coordinator} is down"
+            site.runtime.report_submitted(handle, ())
+            site.runtime.report_aborted(
+                handle, f"coordinator site {coordinator} is down"
             )
-            self.metrics.txn_submitted(site=coordinator)
-            self.metrics.txn_aborted(site=coordinator)
-            if self.bus:
-                self.bus.emit(
-                    "txn.submitted",
-                    time=self.now,
-                    txn=handle.txn,
-                    site=coordinator,
-                    items=tuple(transaction.items),
-                    sites=(),
-                )
-                self.bus.emit(
-                    "txn.aborted",
-                    time=self.now,
-                    txn=handle.txn,
-                    site=coordinator,
-                    reason=f"coordinator site {coordinator} is down",
-                )
             return handle
         site.submit(transaction, handle)
         # begin() consumed a durable sequence number and possibly logged
@@ -208,22 +191,13 @@ class Cluster:
         self.runtime.mark_down(site)
         if self.bus:
             self.bus.emit("site.crash", time=self.now, site=site)
-        undecided = self.sites[site].crash()
-        for handle in undecided:
+        runtime = self.sites[site].runtime
+        for handle in self.sites[site].crash():
             if handle.status is TxnStatus.PENDING:
                 handle.was_delayed_by_failure = True
-                handle.mark_aborted(
-                    self.now, "coordinator crashed; presumed abort"
+                runtime.report_aborted(
+                    handle, "coordinator crashed; presumed abort"
                 )
-                self.metrics.txn_aborted(site=site)
-                if self.bus:
-                    self.bus.emit(
-                        "txn.aborted",
-                        time=self.now,
-                        txn=handle.txn,
-                        site=site,
-                        reason="coordinator crashed; presumed abort",
-                    )
 
     def recover_site(self, site: SiteId) -> None:
         """Bring *site* back up from the snapshot its runtime holds: the

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.core import polytransaction
 from repro.core.errors import ConditionError, PolyvalueError, TransactionError
 from repro.core.polytransaction import TooManyAlternativesError
-from repro.core.polyvalue import depends_on, is_polyvalue, reduce_value
+from repro.core.polyvalue import depends_on, reduce_value
 from repro.runtime.base import TimerHandle
 from repro.txn import protocol
 from repro.txn.runtime import SiteRuntime
@@ -123,16 +123,8 @@ class Coordinator:
             awaiting=set(involved),
         )
         self._active[txn] = record
-        rt.metrics.txn_submitted(site=rt.site_id)
+        rt.report_submitted(handle, involved)
         if rt.bus:
-            rt.bus.emit(
-                "txn.submitted",
-                time=rt.now,
-                txn=txn,
-                site=rt.site_id,
-                items=tuple(transaction.items),
-                sites=tuple(sorted(involved)),
-            )
             rt.bus.emit("phase.read.start", time=rt.now, txn=txn, site=rt.site_id)
         for site, items in involved.items():
             record.sent_at[site] = rt.now
@@ -171,6 +163,7 @@ class Coordinator:
             self._execute_and_stage(record)
 
     def _execute_and_stage(self, record: _CoordTxn) -> None:
+        """Run the body over the gathered reads, then :meth:`_stage`."""
         rt = self._rt
         record.cancel_timer()
         # Everything that can blow up on pathological in-doubt fan-out
@@ -209,7 +202,6 @@ class Coordinator:
                 fanout=len(result.alternatives), site=rt.site_id
             )
         record.outputs = outputs
-        by_site = rt.catalog.group_by_site(writes)
         record.phase = _Phase.STAGING
         if rt.bus:
             rt.bus.emit(
@@ -219,6 +211,14 @@ class Coordinator:
                 site=rt.site_id,
                 writes=tuple(sorted(writes)),
             )
+        self._stage(record, writes)
+
+    def _stage(self, record: _CoordTxn, writes: Dict[ItemId, Any]) -> None:
+        """Ship each involved site its share of *writes* and wait for
+        every *ready* (Paxos Commit overrides this with its
+        registration and ballot-0 leadership)."""
+        rt = self._rt
+        by_site = rt.catalog.group_by_site(writes)
         record.awaiting = set(record.involved)
         record.sent_at = {}
         for site in record.involved:
@@ -301,18 +301,7 @@ class Coordinator:
         rt.known_outcomes[record.txn] = True
         for site in record.involved:
             rt.send(site, protocol.Complete(txn=record.txn))
-        record.handle.mark_committed(rt.now, record.outputs)
-        rt.metrics.txn_committed(record.handle.latency or 0.0, site=rt.site_id)
-        for value in record.outputs.values():
-            rt.metrics.output_produced(certain=not is_polyvalue(value))
-        if rt.bus:
-            rt.bus.emit(
-                "txn.committed",
-                time=rt.now,
-                txn=record.txn,
-                site=rt.site_id,
-                latency=record.handle.latency or 0.0,
-            )
+        rt.report_committed(record.handle, record.outputs)
         del self._active[record.txn]
 
     def _decide_abort(self, record: _CoordTxn, reason: str) -> None:
@@ -324,16 +313,7 @@ class Coordinator:
         rt.known_outcomes[record.txn] = False
         for site in record.involved:
             rt.send(site, protocol.Abort(txn=record.txn))
-        record.handle.mark_aborted(rt.now, reason)
-        rt.metrics.txn_aborted(site=rt.site_id)
-        if rt.bus:
-            rt.bus.emit(
-                "txn.aborted",
-                time=rt.now,
-                txn=record.txn,
-                site=rt.site_id,
-                reason=reason,
-            )
+        rt.report_aborted(record.handle, reason)
         del self._active[record.txn]
 
     # ------------------------------------------------------------------

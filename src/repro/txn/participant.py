@@ -141,16 +141,7 @@ class Participant:
         self._transition(record, SiteState.IDLE, SiteState.COMPUTE, "begin")
         for item in message.items:
             if not rt.locks.try_acquire(txn, item, LockMode.READ):
-                rt.metrics.lock_conflict(site=rt.site_id)
-                if rt.bus:
-                    rt.bus.emit(
-                        "lock.conflict",
-                        time=rt.now,
-                        txn=txn,
-                        site=rt.site_id,
-                        item=item,
-                        mode="read",
-                    )
+                rt.report_lock_conflict(txn, item, "read")
                 self._discard(record, "abort")
                 rt.send(
                     sender,
@@ -185,7 +176,8 @@ class Participant:
         )
 
     def handle_stage_request(self, message: protocol.StageRequest, sender: str) -> None:
-        """Stage the coordinator's computed updates and send *ready*."""
+        """Stage the coordinator's computed updates, then :meth:`_vote`
+        (or :meth:`_refuse` when a write lock is unavailable)."""
         rt = self._rt
         txn = message.txn
         record = self._active.get(txn)
@@ -202,37 +194,46 @@ class Participant:
             record.reply_sent_at = None
         for item in message.writes:
             if not rt.locks.try_acquire(txn, item, LockMode.WRITE):
-                rt.metrics.lock_conflict(site=rt.site_id)
-                if rt.bus:
-                    rt.bus.emit(
-                        "lock.conflict",
-                        time=rt.now,
-                        txn=txn,
-                        site=rt.site_id,
-                        item=item,
-                        mode="write",
-                    )
+                rt.report_lock_conflict(txn, item, "write")
                 self._discard(record, "abort")
-                rt.send(
-                    sender,
-                    protocol.Refuse(
-                        txn=txn,
-                        site=rt.site_id,
-                        reason=f"write-lock conflict on {item!r}",
-                    ),
+                self._refuse(
+                    message, sender, f"write-lock conflict on {item!r}"
                 )
                 return
         staged = dict(message.writes)
         record.staged = staged
+        # Durable before the vote leaves this site: a prepared
+        # participant must survive its own crash still prepared.
         self._durable_staged[txn] = staged
         record.state = SiteState.WAIT
         self._transition(record, SiteState.COMPUTE, SiteState.WAIT, "ready")
-        rt.send(sender, protocol.Ready(txn=txn, site=rt.site_id))
         record.ready_sent_at = rt.now
+        self._vote(record, message, sender)
+
+    def _vote(
+        self,
+        record: _ParticipantTxn,
+        message: protocol.StageRequest,
+        sender: str,
+    ) -> None:
+        """Vote yes: *ready* to the coordinator, then wait for its decision."""
+        rt = self._rt
+        txn = record.txn
+        rt.send(sender, protocol.Ready(txn=txn, site=rt.site_id))
         record.timer = rt.schedule(
             rt.patience.timeout_for(sender, rt.config.wait_timeout),
             lambda: self._wait_timeout(txn),
             label=f"wait-timeout:{txn}",
+        )
+
+    def _refuse(
+        self, message: protocol.StageRequest, sender: str, reason: str
+    ) -> None:
+        """Vote no: tell the coordinator, which aborts."""
+        rt = self._rt
+        rt.send(
+            sender,
+            protocol.Refuse(txn=message.txn, site=rt.site_id, reason=reason),
         )
 
     # ------------------------------------------------------------------
@@ -408,19 +409,9 @@ class Participant:
                 self._log_recovery_timeout(txn)
                 self._forget(txn)
             elif policy is CommitPolicy.BLOCKING:
-                # Re-acquire the write locks (nothing else can have
-                # locked the items while the site was down) and stay
-                # blocked until the outcome query resolves it.
-                for item in staged:
-                    self._rt.locks.try_acquire(txn, item, LockMode.WRITE)
-                record = _ParticipantTxn(
-                    txn=txn,
-                    coordinator=coordinator_of(txn),
-                    state=SiteState.WAIT,
-                    staged=dict(staged),
-                    blocked_since=self._rt.now,
-                )
-                self._active[txn] = record
+                # Stay blocked until the outcome query resolves it.
+                record = self._resume_wait(txn, staged)
+                record.blocked_since = self._rt.now
                 self._blocked.add(txn)
             elif policy is CommitPolicy.RELAXED:
                 self._rt.metrics.unilateral_decision()
@@ -476,6 +467,25 @@ class Participant:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _resume_wait(
+        self, txn: TxnId, staged: Dict[ItemId, Any]
+    ) -> _ParticipantTxn:
+        """Re-enter the wait phase for *txn* after a restart.
+
+        Re-acquires the write locks (nothing else can have locked the
+        items while the site was down) and returns the new record.
+        """
+        for item in staged:
+            self._rt.locks.try_acquire(txn, item, LockMode.WRITE)
+        record = _ParticipantTxn(
+            txn=txn,
+            coordinator=coordinator_of(txn),
+            state=SiteState.WAIT,
+            staged=dict(staged),
+        )
+        self._active[txn] = record
+        return record
 
     def _install_staged(self, txn: TxnId, staged: Dict[ItemId, Any]) -> None:
         rt = self._rt

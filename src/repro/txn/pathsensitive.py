@@ -293,16 +293,8 @@ class PathSensitiveSite(DatabaseSite):
         rt = self.runtime
         txn = self._mint()
         handle.txn = txn
-        rt.metrics.txn_submitted(site=self.site_id)
+        rt.report_submitted(handle, (self.site_id,))
         if rt.bus:
-            rt.bus.emit(
-                "txn.submitted",
-                time=rt.now,
-                txn=txn,
-                site=self.site_id,
-                items=tuple(transaction.items),
-                sites=(self.site_id,),
-            )
             rt.bus.emit(
                 "path.classify",
                 time=rt.now,
@@ -313,16 +305,7 @@ class PathSensitiveSite(DatabaseSite):
         self.registry.routed[txn] = PathDecision("local", transaction)
         for item in transaction.items:
             if not rt.locks.try_acquire(txn, item, LockMode.WRITE):
-                rt.metrics.lock_conflict(site=self.site_id)
-                if rt.bus:
-                    rt.bus.emit(
-                        "lock.conflict",
-                        time=rt.now,
-                        txn=txn,
-                        site=self.site_id,
-                        item=item,
-                        mode="write",
-                    )
+                rt.report_lock_conflict(txn, item, "write")
                 return self._abort_fast(
                     txn, handle, f"local lock conflict on {item!r}"
                 )
@@ -345,16 +328,7 @@ class PathSensitiveSite(DatabaseSite):
         for item, value in writes.items():
             rt.apply_write(item, value)
         rt.locks.release_all(txn)
-        handle.mark_committed(rt.now, outputs)
-        rt.metrics.txn_committed(handle.latency or 0.0, site=self.site_id)
-        if rt.bus:
-            rt.bus.emit(
-                "txn.committed",
-                time=rt.now,
-                txn=txn,
-                site=self.site_id,
-                latency=handle.latency or 0.0,
-            )
+        rt.report_committed(handle, outputs)
         return txn
 
     def _run_decomposable(
@@ -368,19 +342,10 @@ class PathSensitiveSite(DatabaseSite):
         rt = self.runtime
         txn = self._mint()
         handle.txn = txn
-        rt.metrics.txn_submitted(site=self.site_id)
-        sites = tuple(
-            sorted({rt.catalog.site_of(item) for item in decomposition.deltas})
+        rt.report_submitted(
+            handle, map(rt.catalog.site_of, decomposition.deltas)
         )
         if rt.bus:
-            rt.bus.emit(
-                "txn.submitted",
-                time=rt.now,
-                txn=txn,
-                site=self.site_id,
-                items=tuple(transaction.items),
-                sites=sites,
-            )
             rt.bus.emit(
                 "path.classify",
                 time=rt.now,
@@ -394,16 +359,7 @@ class PathSensitiveSite(DatabaseSite):
         )
         if forced:
             self.registry.forced = txn
-        handle.mark_committed(rt.now, decomposition.outputs)
-        rt.metrics.txn_committed(handle.latency or 0.0, site=self.site_id)
-        if rt.bus:
-            rt.bus.emit(
-                "txn.committed",
-                time=rt.now,
-                txn=txn,
-                site=self.site_id,
-                latency=handle.latency or 0.0,
-            )
+        rt.report_committed(handle, decomposition.outputs)
         for item in sorted(decomposition.deltas):
             delta = decomposition.deltas[item]
             target = rt.catalog.site_of(item)
@@ -432,16 +388,7 @@ class PathSensitiveSite(DatabaseSite):
     ) -> TxnId:
         rt = self.runtime
         rt.locks.release_all(txn)
-        handle.mark_aborted(rt.now, reason)
-        rt.metrics.txn_aborted(site=self.site_id)
-        if rt.bus:
-            rt.bus.emit(
-                "txn.aborted",
-                time=rt.now,
-                txn=txn,
-                site=self.site_id,
-                reason=reason,
-            )
+        rt.report_aborted(handle, reason)
         return txn
 
     # ------------------------------------------------------------------
@@ -515,7 +462,11 @@ class PathSensitiveSite(DatabaseSite):
     # ------------------------------------------------------------------
 
     def protocol_residue(self) -> int:
-        return len(self.pending_applies) + len(self._apply_queue)
+        return (
+            super().protocol_residue()
+            + len(self.pending_applies)
+            + len(self._apply_queue)
+        )
 
     def _outcome_maintenance(self) -> None:
         super()._outcome_maintenance()

@@ -12,9 +12,15 @@ completes the commit (or aborts the free instances) itself.
 
 Mapping onto the repo's machinery:
 
-* the **compute phase is reused verbatim** — reads and staging run the
-  existing :class:`~repro.txn.coordinator.Coordinator` code paths, so
-  the message-cost comparison against 2PC isolates the decision layer;
+* the **compute phase is reused verbatim** — reads, execution, write
+  locks and durable staging run the existing
+  :class:`~repro.txn.coordinator.Coordinator` and
+  :class:`~repro.txn.participant.Participant` code paths, which hand
+  off to the only three overrides: ``Coordinator._stage`` (register
+  the transaction, lead ballot 0) and ``Participant._vote`` /
+  ``_refuse`` (a Phase 2a vote instead of *ready* / *refuse*).  The
+  message-cost comparison against 2PC therefore isolates the decision
+  layer;
 * the fast path is **Phase-2a-by-participant**: instead of *ready* to
   the coordinator, a participant sends its vote at ballot 0 directly
   to every acceptor, which persists it and relays Phase 2b to the
@@ -36,22 +42,14 @@ recorded for the protocol-aware decision-consistency oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core import polytransaction
-from repro.core.errors import (
-    ConditionError,
-    PolyvalueError,
-    ProtocolError,
-    TransactionError,
-)
-from repro.core.polytransaction import TooManyAlternativesError
-from repro.db.locks import LockMode
+from repro.core.errors import ProtocolError
 from repro.net.message import SiteId
 from repro.txn import protocol
 from repro.txn.coordinator import Coordinator, _CoordTxn, _Phase
 from repro.txn.participant import Participant, _ParticipantTxn
-from repro.txn.runtime import SiteRuntime, SiteState
+from repro.txn.runtime import SiteRuntime
 from repro.txn.site import DatabaseSite
 from repro.txn.transaction import (
     Transaction,
@@ -163,18 +161,9 @@ class DecisionBoard:
     def decided(self, txn: TxnId) -> Optional[bool]:
         return self.decisions.get(txn)
 
-    def decide(
-        self,
-        txn: TxnId,
-        committed: bool,
-        *,
-        time: float,
-        site: SiteId,
-        metrics,
-        bus=None,
-        reason: str = "",
-    ) -> bool:
-        """Record one decision; returns True iff this was the first.
+    def decide(self, txn: TxnId, committed: bool, rt: SiteRuntime) -> bool:
+        """Record one decision reached at *rt*'s site; returns True iff
+        this was the first.
 
         A second, contradictory decision is the bug class Paxos exists
         to prevent — it is recorded (never applied to the handle) so
@@ -189,34 +178,17 @@ class DecisionBoard:
                 previous = False
         if previous is not None:
             if previous != committed:
-                self.conflicts.append((txn, previous, committed, site))
-                metrics.inconsistent_decision()
+                self.conflicts.append((txn, previous, committed, rt.site_id))
+                rt.metrics.inconsistent_decision()
             return False
         self.decisions[txn] = committed
-        if handle is not None and handle.status is TxnStatus.PENDING:
+        outputs = self.outputs.pop(txn, {})
+        # A handle reaching here is pending: a decided one set `previous`.
+        if handle is not None:
             if committed:
-                handle.mark_committed(time, self.outputs.pop(txn, {}))
-                metrics.txn_committed(handle.latency or 0.0, site=site)
-                if bus:
-                    bus.emit(
-                        "txn.committed",
-                        time=time,
-                        txn=txn,
-                        site=site,
-                        latency=handle.latency or 0.0,
-                    )
+                rt.report_committed(handle, outputs)
             else:
-                self.outputs.pop(txn, None)
-                handle.mark_aborted(time, reason or "paxos consensus aborted")
-                metrics.txn_aborted(site=site)
-                if bus:
-                    bus.emit(
-                        "txn.aborted",
-                        time=time,
-                        txn=txn,
-                        site=site,
-                        reason=reason or "paxos consensus aborted",
-                    )
+                rt.report_aborted(handle, "paxos consensus aborted")
         return True
 
 
@@ -249,60 +221,26 @@ class PaxosCoordinator(Coordinator):
     """The 2PC coordinator's compute phase with a Paxos decision layer.
 
     Reads and transaction-body execution are inherited unchanged; only
-    staging differs (a :class:`PaxosStage` registers the participant
-    and acceptor sets) and the decision never happens here directly —
-    the site's ballot-0 leadership (or any failover leader) completes
-    the commit through the acceptors.
+    :meth:`_stage` differs (a :class:`PaxosStage` registers the
+    participant and acceptor sets) and the decision never happens here
+    directly — the site's ballot-0 leadership (or any failover leader)
+    completes the commit through the acceptors.
     """
 
     def __init__(self, runtime: SiteRuntime, site: "PaxosSite") -> None:
         super().__init__(runtime)
         self._site = site
 
-    def _execute_and_stage(self, record: _CoordTxn) -> None:
+    def _stage(self, record: _CoordTxn, writes: Dict[ItemId, Any]) -> None:
         rt = self._rt
-        record.cancel_timer()
-        try:
-            result = polytransaction.execute(
-                record.transaction.body,
-                record.values,
-                max_alternatives=rt.config.max_alternatives,
-            )
-            writes = result.merged_writes(record.values)
-            outputs = result.merged_outputs()
-        except TooManyAlternativesError as error:
-            rt.metrics.fanout_overflow(site=rt.site_id)
-            if rt.bus:
-                rt.bus.emit(
-                    "txn.overflow",
-                    time=rt.now,
-                    txn=record.txn,
-                    site=rt.site_id,
-                    limit=rt.config.max_alternatives,
-                )
-            self._decide_abort(record, f"fan-out overflow: {error}")
-            return
-        except (TransactionError, PolyvalueError, ConditionError) as error:
-            self._decide_abort(record, f"body failed: {error}")
-            return
-        record.outputs = outputs
         by_site = rt.catalog.group_by_site(writes)
-        record.phase = _Phase.STAGING
-        if rt.bus:
-            rt.bus.emit(
-                "phase.stage.start",
-                time=rt.now,
-                txn=record.txn,
-                site=rt.site_id,
-                writes=tuple(sorted(writes)),
-            )
         participants = tuple(sorted(record.involved))
         acceptors = self._site.acceptor_set()
         # Durable registration (Gray & Lamport's registrar record): the
         # participant set must survive a coordinator crash so recovery
         # can drive failover for the transaction.
         self._site.registrar[record.txn] = participants
-        self._site.board.outputs[record.txn] = outputs
+        self._site.board.outputs[record.txn] = record.outputs
         record.awaiting = set(record.involved)
         for site in record.involved:
             site_writes = {
@@ -367,8 +305,9 @@ class PaxosCoordinator(Coordinator):
 class PaxosParticipant(Participant):
     """The participant role with Phase-2a-by-participant voting.
 
-    Staging is the same no-wait 2PL acquisition as 2PC, but the vote
-    goes to the acceptors (ballot 0) instead of a *ready* to the
+    Staging is the inherited no-wait 2PL acquisition of 2PC; only the
+    vote differs (:meth:`_vote` / :meth:`_refuse`): it goes to the
+    acceptors at ballot 0 instead of a *ready* / *refuse* to the
     coordinator, and the wait phase ends with the consensus decision —
     or with this site running leader failover itself.
     """
@@ -385,63 +324,18 @@ class PaxosParticipant(Participant):
     ) -> Optional[Tuple[Tuple[SiteId, ...], Tuple[SiteId, ...]]]:
         return self._meta.get(txn)
 
-    def handle_paxos_stage(self, message: PaxosStage, sender: SiteId) -> None:
+    def _vote(
+        self, record: _ParticipantTxn, message: PaxosStage, sender: SiteId
+    ) -> None:
+        """Vote Prepared at ballot 0, straight to the acceptors."""
         rt = self._rt
-        txn = message.txn
-        record = self._active.get(txn)
-        if record is None or record.state is not SiteState.COMPUTE:
-            return  # duplicate, or the compute phase already timed out
-        record.cancel_timer()
-        if record.reply_sent_at is not None:
-            rt.patience.observe(sender, rt.now - record.reply_sent_at)
-            record.reply_sent_at = None
-        for item in message.writes:
-            if not rt.locks.try_acquire(txn, item, LockMode.WRITE):
-                rt.metrics.lock_conflict(site=rt.site_id)
-                if rt.bus:
-                    rt.bus.emit(
-                        "lock.conflict",
-                        time=rt.now,
-                        txn=txn,
-                        site=rt.site_id,
-                        item=item,
-                        mode="write",
-                    )
-                self._discard(record, "abort")
-                # The vote is Aborted — sent to the acceptors, not the
-                # coordinator: consensus, not the leader, aborts.
-                for acceptor in message.acceptors:
-                    rt.send(
-                        acceptor,
-                        Phase2a(
-                            txn=txn,
-                            instance=rt.site_id,
-                            ballot=0,
-                            vote=ABORTED,
-                            leader=message.leader,
-                        ),
-                    )
-                return
-        staged = dict(message.writes)
-        record.staged = staged
-        # Durable before the vote leaves this site: a prepared
-        # participant must survive its own crash still prepared.
-        self._durable_staged[txn] = staged
-        self._meta[txn] = (tuple(message.participants), tuple(message.acceptors))
-        record.state = SiteState.WAIT
-        self._transition(record, SiteState.COMPUTE, SiteState.WAIT, "ready")
-        for acceptor in message.acceptors:
-            rt.send(
-                acceptor,
-                Phase2a(
-                    txn=txn,
-                    instance=rt.site_id,
-                    ballot=0,
-                    vote=PREPARED,
-                    leader=message.leader,
-                ),
-            )
-        record.ready_sent_at = rt.now
+        txn = record.txn
+        # Durable, like the staged writes, before the vote leaves.
+        self._meta[txn] = (
+            tuple(message.participants),
+            tuple(message.acceptors),
+        )
+        self._phase2a(message, PREPARED)
         record.timer = rt.schedule(
             rt.patience.timeout_for(
                 message.leader, rt.config.paxos_failover_timeout
@@ -449,6 +343,27 @@ class PaxosParticipant(Participant):
             lambda: self._site.failover(txn),
             label=f"paxos-wait:{txn}",
         )
+
+    def _refuse(
+        self, message: PaxosStage, sender: SiteId, reason: str
+    ) -> None:
+        """Vote Aborted — to the acceptors, not the coordinator:
+        consensus, not the leader, aborts."""
+        self._phase2a(message, ABORTED)
+
+    def _phase2a(self, message: PaxosStage, vote: str) -> None:
+        rt = self._rt
+        for acceptor in message.acceptors:
+            rt.send(
+                acceptor,
+                Phase2a(
+                    txn=message.txn,
+                    instance=rt.site_id,
+                    ballot=0,
+                    vote=vote,
+                    leader=message.leader,
+                ),
+            )
 
     def handle_outcome_known(self, txn: TxnId, committed: bool) -> None:
         record = self._active.get(txn)
@@ -476,15 +391,7 @@ class PaxosParticipant(Participant):
             if outcome is not None:
                 self.handle_outcome_known(txn, outcome)
                 continue
-            for item in staged:
-                self._rt.locks.try_acquire(txn, item, LockMode.WRITE)
-            record = _ParticipantTxn(
-                txn=txn,
-                coordinator=coordinator_of(txn),
-                state=SiteState.WAIT,
-                staged=dict(staged),
-            )
-            self._active[txn] = record
+            record = self._resume_wait(txn, staged)
             record.timer = self._rt.schedule(
                 self._rt.config.paxos_failover_timeout,
                 lambda txn=txn: self._site.failover(txn),
@@ -572,11 +479,8 @@ class PaxosSite(DatabaseSite):
         if not self.runtime.up:
             return
         message = envelope.payload
-        if isinstance(message, PaxosStage):
-            if envelope.sender != self.site_id:
-                self._note_peer_alive(envelope.sender)
-            self.participant.handle_paxos_stage(message, envelope.sender)
-        elif isinstance(message, Phase2a):
+        # A PaxosStage is a StageRequest: the base dispatch routes it.
+        if isinstance(message, Phase2a):
             self._accept_phase2a(message, envelope.sender)
         elif isinstance(message, Phase2b):
             self._collect_phase2b(message)
@@ -803,29 +707,18 @@ class PaxosSite(DatabaseSite):
         # for this transaction and must all learn the outcome to
         # garbage-collect them — the site layer's unacknowledged-
         # participants retry loop redelivers the outcome reliably.
-        learners = (
-            set(proposal.participants)
-            | set(proposal.acceptors)
-            | {coordinator_of(txn)}
+        learners = sorted(
+            (
+                set(proposal.participants)
+                | set(proposal.acceptors)
+                | {coordinator_of(txn)}
+            )
+            - {rt.site_id}
         )
-        rt.outcome_log.decide(
-            txn, committed, participants=sorted(learners - {rt.site_id})
-        )
-        self.board.decide(
-            txn,
-            committed,
-            time=rt.now,
-            site=rt.site_id,
-            metrics=rt.metrics,
-            bus=rt.bus,
-        )
-        recipients = (
-            set(proposal.participants)
-            | set(proposal.acceptors)
-            | {coordinator_of(txn)}
-        ) - {rt.site_id}
-        for recipient in sorted(recipients):
-            rt.send(recipient, PaxosDecision(txn=txn, committed=committed))
+        rt.outcome_log.decide(txn, committed, participants=learners)
+        self.board.decide(txn, committed, rt)
+        for learner in learners:
+            rt.send(learner, PaxosDecision(txn=txn, committed=committed))
         self._learn_outcome(txn, committed)
 
     # ------------------------------------------------------------------

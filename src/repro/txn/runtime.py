@@ -21,9 +21,8 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Set, Tuple
-
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List
+from typing import Mapping, Optional, Set, Tuple
 
 from repro.core.outcome import OutcomeLog, OutcomeTable
 from repro.core.polyvalue import Value, depends_on, is_polyvalue, simplify
@@ -38,6 +37,7 @@ from repro.txn.timeouts import Patience
 
 if TYPE_CHECKING:  # the runtime value lives in repro.txn.config now
     from repro.txn.config import ProtocolConfig
+    from repro.txn.transaction import TransactionHandle
 
 
 #: Participant states, exactly the three of Figure 1.
@@ -284,6 +284,74 @@ class SiteRuntime:
                         site=self.site_id,
                         item=item,
                     )
+
+    # ------------------------------------------------------------------
+    # Transaction events: the one place each is marked, counted, emitted
+    # ------------------------------------------------------------------
+
+    def report_submitted(
+        self, handle: TransactionHandle, sites: Iterable[SiteId]
+    ) -> None:
+        """*handle* entered the protocol here, involving *sites*."""
+        self.metrics.txn_submitted(site=self.site_id)
+        bus = self.bus
+        if bus:
+            bus.emit(
+                "txn.submitted",
+                time=self.now,
+                txn=handle.txn,
+                site=self.site_id,
+                items=tuple(handle.transaction.items),
+                sites=tuple(sorted(set(sites))),
+            )
+
+    def report_committed(
+        self, handle: TransactionHandle, outputs: Mapping[str, Any]
+    ) -> None:
+        """This site decided *handle* committed with *outputs*; each
+        output is counted certain or uncertain (section 3.4)."""
+        handle.mark_committed(self.now, outputs)
+        latency = handle.latency or 0.0
+        self.metrics.txn_committed(latency, site=self.site_id)
+        for value in outputs.values():
+            self.metrics.output_produced(certain=not is_polyvalue(value))
+        bus = self.bus
+        if bus:
+            bus.emit(
+                "txn.committed",
+                time=self.now,
+                txn=handle.txn,
+                site=self.site_id,
+                latency=latency,
+            )
+
+    def report_aborted(self, handle: TransactionHandle, reason: str) -> None:
+        """This site decided (or presumed) *handle* aborted."""
+        handle.mark_aborted(self.now, reason)
+        self.metrics.txn_aborted(site=self.site_id)
+        bus = self.bus
+        if bus:
+            bus.emit(
+                "txn.aborted",
+                time=self.now,
+                txn=handle.txn,
+                site=self.site_id,
+                reason=reason,
+            )
+
+    def report_lock_conflict(self, txn: str, item: str, mode: str) -> None:
+        """*txn* was refused a *mode* lock on *item* here."""
+        self.metrics.lock_conflict(site=self.site_id)
+        bus = self.bus
+        if bus:
+            bus.emit(
+                "lock.conflict",
+                time=self.now,
+                txn=txn,
+                site=self.site_id,
+                item=item,
+                mode=mode,
+            )
 
 
 #: Names the runtime redesign moved to repro.txn.config; the old import

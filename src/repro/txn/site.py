@@ -27,7 +27,7 @@ crash/recovery behaviour all live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ProtocolError
 from repro.core.polyvalue import is_polyvalue
@@ -108,14 +108,16 @@ class DatabaseSite:
     def protocol_residue(self) -> int:
         """Protocol-specific undecided state held at this site.
 
-        The base protocol keeps all of its convergence-relevant state in
-        the structures the system facade already counts (polyvalues,
-        outcome tables, outcome logs, pending handles); subclasses with
-        extra durable machinery (Paxos acceptor state, path-sensitive
-        apply queues) report it here so :meth:`DistributedSystem.settle`
-        and the convergence oracle include it.
+        The base protocol's is the participant's outstanding outcome
+        queries: blocked transactions still holding their locks and
+        unaudited unilateral decisions (everything else it keeps is in
+        the structures the cluster already counts — polyvalues, outcome
+        tables, outcome logs, pending handles).  Subclasses with extra
+        durable machinery (Paxos acceptor state, path-sensitive apply
+        queues) report it here too, so :meth:`Cluster.converged` and the
+        convergence oracle include it.
         """
-        return 0
+        return len(self.participant.pending_outcome_queries())
 
     # ------------------------------------------------------------------
     # Client entry point (the system facade calls this)
@@ -221,24 +223,29 @@ class DatabaseSite:
         aborted.  A still-undecided transaction gets no answer — the
         requester retries.
         """
-        rt = self.runtime
         txn = message.txn
         if coordinator_of(txn) != self.site_id:
             return  # misdirected; only the coordinator answers queries
-        if txn in self.coordinator.active_transactions():
+        committed = self._decided_here(txn)
+        if committed is None:
             return  # undecided: stay silent, the requester will retry
-        if rt.outcome_log.knows(txn):
-            committed = rt.outcome_log.outcome_of(txn)
-        elif txn in rt.known_outcomes:
-            committed = rt.known_outcomes[txn]
-        else:
-            committed = False  # presumed abort
-        rt.send(
+        self.runtime.send(
             message.requester,
             protocol.OutcomeNotify(
                 txn=txn, committed=committed, origin=self.site_id
             ),
         )
+
+    def _decided_here(self, txn: TxnId) -> Optional[bool]:
+        """What this site, as *txn*'s coordinator, decided: the durable
+        outcome log, then the outcome cache, else presumed abort — or
+        None while *txn* is still being coordinated here."""
+        rt = self.runtime
+        if txn in self.coordinator.active_transactions():
+            return None
+        if rt.outcome_log.knows(txn):
+            return rt.outcome_log.outcome_of(txn)
+        return rt.known_outcomes.get(txn, False)
 
     def _note_peer_alive(self, peer: SiteId) -> None:
         """Any inbound message is liveness evidence: end suppression and
@@ -328,16 +335,10 @@ class DatabaseSite:
         for txn in needed:
             coordinator = coordinator_of(txn)
             if coordinator == self.site_id:
-                # Local coordinator: resolve directly (presumed abort if
-                # the decision is not in the durable log).
-                if txn in self.coordinator.active_transactions():
-                    continue
-                if rt.outcome_log.knows(txn):
-                    self._learn_outcome(txn, rt.outcome_log.outcome_of(txn))
-                elif txn in rt.known_outcomes:
-                    self._learn_outcome(txn, rt.known_outcomes[txn])
-                else:
-                    self._learn_outcome(txn, committed=False)
+                # Local coordinator: resolve directly.
+                committed = self._decided_here(txn)
+                if committed is not None:
+                    self._learn_outcome(txn, committed)
             else:
                 rt.send(
                     coordinator,

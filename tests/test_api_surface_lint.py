@@ -24,6 +24,12 @@ A third rule holds the campaign drivers (explorer, chaos, frontier,
 bench) to the part of that seam they have already crossed: they still
 reach for the simulated network's fault vocabulary, but the clock is
 ``cluster.now`` — no ``<x>.sim.now``.
+
+A fourth rule keeps each transaction event reported from one place:
+under ``src/repro/txn`` only ``runtime.py`` (``SiteRuntime``'s
+``report_*`` methods) may mark a handle decided, bump the submitted /
+committed / aborted / lock-conflict counters, or emit ``txn.submitted``,
+``txn.committed``, ``txn.aborted`` or ``lock.conflict``.
 """
 
 from __future__ import annotations
@@ -50,6 +56,24 @@ EXEMPT = {"system.py"}
 
 #: Attributes of a cluster that only the simulator front-end has.
 SIM_ONLY_ATTRIBUTES = ("sim", "network")
+
+
+#: The one module allowed to report transaction events, and what a
+#: report consists of.
+REPORT_MODULE = "runtime.py"
+HANDLE_MARKS = ("mark_committed", "mark_aborted")
+REPORT_COUNTERS = (
+    "txn_submitted",
+    "txn_committed",
+    "txn_aborted",
+    "lock_conflict",
+)
+REPORT_EVENTS = (
+    "txn.submitted",
+    "txn.committed",
+    "txn.aborted",
+    "lock.conflict",
+)
 
 
 def _banned(module_name: str) -> bool:
@@ -94,6 +118,34 @@ def _sim_reaches(path: pathlib.Path) -> list:
 def _clock_reaches(path: pathlib.Path) -> list:
     """Every ``<x>.sim.now`` read."""
     return [v for v in _sim_reaches(path) if v.endswith(": .sim.now")]
+
+
+def _report_bypasses(path: pathlib.Path) -> list:
+    """Every handle mark, report counter bump or report event emitted
+    outside the ``SiteRuntime`` report methods."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(
+            node.func, ast.Attribute
+        ):
+            continue
+        name = node.func.attr
+        owner = node.func.value
+        owner_name = getattr(owner, "attr", getattr(owner, "id", None))
+        where = f"{path.name}:{node.lineno}"
+        if name in HANDLE_MARKS:
+            found.append(f"{where}: .{name}(")
+        elif name in REPORT_COUNTERS and owner_name == "metrics":
+            found.append(f"{where}: metrics.{name}(")
+        elif (
+            name == "emit"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in REPORT_EVENTS
+        ):
+            found.append(f"{where}: emit({node.args[0].value!r})")
+    return found
 
 
 def txn_modules():
@@ -185,6 +237,52 @@ def test_lint_catches_a_clock_reach(tmp_path):
         encoding="utf-8",
     )
     assert _clock_reaches(bad) == ["bad.py:3: .sim.now"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in TXN_DIR.glob("*.py") if p.name != REPORT_MODULE),
+    ids=lambda p: p.name,
+)
+def test_transaction_events_are_reported_by_the_site_runtime(path):
+    violations = _report_bypasses(path)
+    assert not violations, (
+        "report transaction events through SiteRuntime.report_*:\n  "
+        + "\n  ".join(violations)
+    )
+
+
+def test_report_module_holds_every_report():
+    """The exemption is not dead config: runtime.py does all four."""
+    found = " ".join(_report_bypasses(TXN_DIR / REPORT_MODULE))
+    for part in HANDLE_MARKS + REPORT_COUNTERS + REPORT_EVENTS:
+        assert part in found, part
+
+
+def test_lint_catches_a_report_bypass(tmp_path):
+    """The report rule is live: each planted bypass is reported once."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(rt, handle, bus, metrics):\n"
+        "    handle.mark_committed(rt.now, {})\n"
+        "    record.handle.mark_aborted(rt.now, 'no')\n"
+        "    rt.metrics.txn_committed(0.0, site='s')\n"
+        "    metrics.lock_conflict(site='s')\n"
+        "    bus.emit('txn.aborted', time=rt.now)\n"
+        "    rt.bus.emit('lock.conflict', time=rt.now)\n"
+        "    rt.bus.emit('txn.overflow', time=rt.now)\n"
+        "    rt.metrics.fanout_overflow(site='s')\n"
+        "    rt.report_aborted(handle, 'fine')\n",
+        encoding="utf-8",
+    )
+    assert [line.split(": ", 1)[1] for line in _report_bypasses(bad)] == [
+        ".mark_committed(",
+        ".mark_aborted(",
+        "metrics.txn_committed(",
+        "metrics.lock_conflict(",
+        "emit('txn.aborted')",
+        "emit('lock.conflict')",
+    ]
 
 
 def test_exempt_system_module_is_the_composition_root():

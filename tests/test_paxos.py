@@ -4,11 +4,14 @@ Covers the configuration-derived acceptor sets (2F+1, clamped to the
 site count), the ballot-0 fast path on failure-free runs, the
 no-polyvalues invariant, acceptor failover deciding a transaction
 whose coordinator crashed, and the durable-state drain that the
-convergence oracle audits.
+convergence oracle audits, and the participant's "no" vote.
 """
 
+from repro.db.locks import LockMode
 from repro.obs.events import EventLog
+from repro.txn import protocol
 from repro.txn.baselines import paxos_commit_system
+from repro.txn.paxos import ABORTED, Phase2a
 from repro.txn.transaction import TxnStatus
 
 from tests.conftest import increment, move, run_to_decision
@@ -145,3 +148,50 @@ class TestFailover:
         system.crash_site("site-4")
         run_to_decision(system, handle)
         assert handle.status is TxnStatus.COMMITTED
+
+
+class TestNoVote:
+    def test_write_lock_conflict_votes_aborted_to_every_acceptor(self):
+        system = _build()
+        site = system.sites["site-1"]
+        # A second reader of item-1: the transaction's read lock is
+        # granted, its upgrade to a write lock at staging is not.
+        site.runtime.locks.try_acquire("reader", "item-1", LockMode.READ)
+        sends = EventLog(system.bus, prefix="msg.send")
+        conflicts = EventLog(system.bus, prefix="lock.conflict")
+        handle = system.submit(move("item-0", "item-1", 25), at="site-0")
+        run_to_decision(system, handle)
+
+        votes = [
+            event
+            for event in sends
+            if event.attrs["sender"] == "site-1"
+            and isinstance(event.attrs["message"], Phase2a)
+        ]
+        assert sorted(event.attrs["recipient"] for event in votes) == sorted(
+            site.acceptor_set()
+        )
+        for event in votes:
+            vote = event.attrs["message"]
+            assert (vote.instance, vote.ballot, vote.vote) == (
+                "site-1",
+                0,
+                ABORTED,
+            )
+        assert not any(
+            isinstance(event.attrs["message"], protocol.Refuse)
+            for event in sends
+        )
+        assert [
+            (event.site, event.attrs["item"], event.attrs["mode"])
+            for event in conflicts
+        ] == [("site-1", "item-1", "write")]
+
+        assert handle.status is TxnStatus.ABORTED
+        assert system.decision_board.decided(handle.txn) is False
+        assert system.decision_board.conflicts == []
+        site.runtime.locks.release_all("reader")
+        assert system.run_to_quiescence(max_time=system.sim.now + 30.0)
+        assert system.total_protocol_residue() == 0
+        assert system.read_item("item-0") == 100
+        assert system.read_item("item-1") == 100

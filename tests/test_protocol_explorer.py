@@ -4,7 +4,9 @@ The explorer must walk Paxos Commit and path-sensitive systems exactly
 as it walks the default polyvalue system: seeded walks find zero
 violations, schedules round-trip through the artifact format with
 their protocol field intact, and a replayed schedule reproduces the
-original run bit-for-bit.
+original run bit-for-bit.  Blocking 2PC gets a regression schedule:
+the system may not be called converged while a blocked participant
+still holds its locks.
 """
 
 import dataclasses
@@ -102,3 +104,31 @@ class TestArtifactRoundTrip:
         replayed = run_schedule(restored)
         assert replayed.ok == direct.ok
         assert replayed.stats == direct.stats
+
+
+class TestBlockingConvergence:
+    def test_settle_waits_for_the_blocked_participant(self):
+        # Found by `repro check --seeds 25 --steps 12 --protocol blocking`
+        # (walk pair:23687172725): settle() used to stop at t=4.5, one
+        # maintenance pass before site-1's outcome query would have
+        # released its locks on item-1.
+        hop = ("site-0", "site-1")
+        schedule = Schedule(
+            scenario="pair",
+            seed=23687172725,
+            actions=(
+                FailureAction(at=0.03, kind="crash", targets=("site-0",)),
+                FailureAction(at=0.12, kind="partition", targets=hop),
+                FailureAction(at=0.135, kind="heal", targets=hop),
+                FailureAction(at=0.259, kind="partition", targets=hop),
+                FailureAction(at=0.263, kind="recover", targets=("site-0",)),
+                FailureAction(at=1.323, kind="heal", targets=hop),
+                FailureAction(at=1.823, kind="partition", targets=hop),
+                FailureAction(at=2.823, kind="crash", targets=("site-1",)),
+                FailureAction(at=2.853, kind="recover", targets=("site-1",)),
+            ),
+            protocol="blocking",
+        )
+        result = run_schedule(schedule)
+        assert result.converged
+        assert result.ok, [str(v) for v in result.violations]
