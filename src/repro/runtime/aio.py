@@ -13,20 +13,29 @@ The live transport (stdlib only):
   are cached per recipient and re-opened once on failure; beyond that
   a send is simply lost, which is exactly the delivery contract the
   protocols are designed for.
-* **Durability** — with a data directory, after every timer fire and
-  every inbound dispatch for site S, S's registered snapshot is written
-  as JSON text to ``<data_dir>/site-<S>.json`` via atomic
-  write-then-rename; a file that does not read back as a snapshot is a
+* **Durability** — with a data directory, site S's files are a
+  compacted snapshot ``<data_dir>/site-<S>.json`` plus a log
+  ``<data_dir>/site-<S>.log``.  After every timer fire and every inbound
+  dispatch for S, S's registered snapshot is compared with the one last
+  logged and what changed (top-level keys, or the sub-keys of a dict
+  section set or deleted, all as absolute values) is appended to the log
+  as one record: 4-byte length, CRC32, compact JSON; no change writes
+  nothing.  The log is folded into a fresh site file (write-then-rename,
+  then the log is removed) when the runtime becomes :meth:`quiescent`
+  — so at every quiescent point the site file alone is the state — and
+  whenever the log would outgrow the site file.  A restart reads the
+  site file and replays the log: a damaged last record is a torn write
+  and is dropped, anything else unreadable is a
   :class:`~repro.runtime.base.DurableStateError`, never an empty boot.
   Without a data directory the snapshot is taken at :meth:`mark_down`
   and held in memory until the restart (the base-class default).  Sends
   only enqueue an asyncio task, and tasks cannot run before the
-  current callback (checkpoint included) returns — so durable state
-  always reaches disk *before* any message provoked by it reaches a
-  socket.  That ordering is what makes the coordinator's "log the
-  outcome, then send complete" and the participant's "stage durably,
-  then send ready" hold on the live runtime with no changes to the
-  protocol code.
+  current callback (its log append included) returns — so durable
+  state always reaches the log *before* any message provoked by it
+  reaches a socket.  That ordering is what makes the coordinator's "log
+  the outcome, then send complete" and the participant's "stage
+  durably, then send ready" hold on the live runtime with no changes to
+  the protocol code.  Records are flushed to the OS, not fsynced.
 * **Fault injection** — :meth:`mark_down`/:meth:`mark_up` emulate a
   crashed process (all inbound and outbound frames dropped), and
   :meth:`set_fault` installs a predicate that selectively drops
@@ -43,13 +52,16 @@ from __future__ import annotations
 
 import asyncio
 import os
+import struct
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Iterator, Optional, Set
 
 from repro.core.errors import SimulationError
 from repro.net.message import Envelope, SiteId
 from repro.runtime.base import (
     BACKGROUND_LABELS,
+    DurableStateError,
     Runtime,
     TimerHandle,
     dump_snapshot,
@@ -57,16 +69,103 @@ from repro.runtime.base import (
 )
 from repro.sim.rand import Rng
 
+#: A log record's header: body length and the body's CRC32, big-endian.
+_RECORD_HEADER = struct.Struct(">II")
+_MISSING = object()
+
+
+def _change(old: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
+    """The log record that turns snapshot *old* into *new* ({} if equal).
+
+    ``"set"`` holds the top-level keys whose value changed and ``"del"``
+    the removed ones; a section that is a dict on both sides goes under
+    ``"patch"`` as ``[sub-keys set, sub-keys deleted]``.  Every value is
+    absolute, so replaying a record twice, or over a newer snapshot,
+    leaves the newer state.
+    """
+    replaced: Dict[str, Any] = {}
+    patched: Dict[str, Any] = {}
+    for key, value in new.items():
+        before = old.get(key, _MISSING)
+        if value == before:
+            continue
+        if isinstance(value, dict) and isinstance(before, dict):
+            patched[key] = [
+                {
+                    sub: item
+                    for sub, item in value.items()
+                    if before.get(sub, _MISSING) != item
+                },
+                [sub for sub in before if sub not in value],
+            ]
+        else:
+            replaced[key] = value
+    change: Dict[str, Any] = {}
+    if replaced:
+        change["set"] = replaced
+    if patched:
+        change["patch"] = patched
+    removed = [key for key in old if key not in new]
+    if removed:
+        change["del"] = removed
+    return change
+
+
+def _apply(snapshot: Dict[str, Any], change: Dict[str, Any]) -> None:
+    """Replay one :func:`_change` record onto *snapshot* in place."""
+    snapshot.update(change.get("set", {}))
+    for key, (changed, deleted) in change.get("patch", {}).items():
+        section = snapshot.setdefault(key, {})
+        section.update(changed)
+        for sub in deleted:
+            section.pop(sub, None)
+    for key in change.get("del", ()):
+        snapshot.pop(key, None)
+
+
+def _records(data: bytes, path: str) -> Iterator[Dict[str, Any]]:
+    """The records of log *data*, in order.
+
+    A record that runs past the end of the data, or fails its CRC, and
+    is the last one is a write the crash tore: it is dropped.  A damaged
+    record with more bytes after it is corruption, and raises
+    :class:`DurableStateError` naming *path*.
+    """
+    size = len(data)
+    offset = 0
+    while offset < size:
+        end = offset + _RECORD_HEADER.size
+        if end <= size:
+            length, crc = _RECORD_HEADER.unpack_from(data, offset)
+            body = data[end:end + length]
+            end += length
+            if end <= size and zlib.crc32(body) == crc:
+                yield parse_snapshot(body, f"{path} (record at byte {offset})")
+                offset = end
+                continue
+        if end < size:
+            raise DurableStateError(
+                f"{path}: damaged record at byte {offset} is followed by "
+                f"{size - end} more bytes"
+            )
+        return
+
 
 @dataclass
 class TransportStats:
-    """Counters for the live transport (mirrors NetworkStats in spirit)."""
+    """Counters for the live transport (mirrors NetworkStats in spirit).
+
+    ``checkpoints`` counts durable writes: log records plus compactions
+    (site files rewritten); ``log_bytes`` is what the records appended.
+    """
 
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     reconnects: int = 0
     checkpoints: int = 0
+    compactions: int = 0
+    log_bytes: int = 0
     handler_errors: int = 0
     errors: list = field(default_factory=list)
 
@@ -77,6 +176,8 @@ class TransportStats:
             "dropped": self.dropped,
             "reconnects": self.reconnects,
             "checkpoints": self.checkpoints,
+            "compactions": self.compactions,
+            "log_bytes": self.log_bytes,
             "handler_errors": self.handler_errors,
         }
 
@@ -85,16 +186,21 @@ class _ProtocolTimer:
     """A non-background timer: counts against
     :meth:`AsyncioRuntime.quiescent` until it fires or is cancelled."""
 
-    __slots__ = ("_armed", "handle")
+    __slots__ = ("_runtime", "handle")
 
-    def __init__(self, armed: Set["_ProtocolTimer"]) -> None:
-        self._armed = armed
+    def __init__(self, runtime: "AsyncioRuntime") -> None:
+        self._runtime = runtime
         self.handle: Optional[asyncio.TimerHandle] = None
-        armed.add(self)
+        runtime._armed.add(self)
 
     def cancel(self) -> None:
-        self._armed.discard(self)
+        runtime = self._runtime
+        runtime._armed.discard(self)
         self.handle.cancel()
+        # A crash cancels timers outside any callback; the cluster can go
+        # quiet right here.
+        if runtime._logs:
+            runtime._fold_logs_if_quiescent()
 
 
 class AsyncioRuntime(Runtime):
@@ -143,6 +249,13 @@ class AsyncioRuntime(Runtime):
         self._in_flight = 0
         self._armed: Set[_ProtocolTimer] = set()
         self._fault: Optional[Callable[[Envelope], bool]] = None
+        #: Per site: the snapshot its files hold (site file + log) and
+        #: the size of its site file.
+        self._logged: Dict[SiteId, Dict[str, Any]] = {}
+        self._snapshot_bytes: Dict[SiteId, int] = {}
+        #: Append handles of the logs holding records: empty exactly
+        #: when every site file alone holds what was logged.
+        self._logs: Dict[SiteId, Any] = {}
         self.stats = TransportStats()
         if self.durable:
             os.makedirs(data_dir, exist_ok=True)
@@ -187,6 +300,9 @@ class AsyncioRuntime(Runtime):
                 pass
         self._writers.clear()
         self._servers.clear()
+        for log in self._logs.values():
+            log.close()
+        self._logs.clear()
 
     def port_of(self, site: SiteId) -> Optional[int]:
         """The TCP port *site* listens on (None before :meth:`listen`)."""
@@ -214,7 +330,7 @@ class AsyncioRuntime(Runtime):
         timer = (
             None
             if label.startswith(BACKGROUND_LABELS)
-            else _ProtocolTimer(self._armed)
+            else _ProtocolTimer(self)
         )
         handle = self._loop.call_later(
             max(0.0, delay), self._fire_timer, action, site, label, timer
@@ -237,6 +353,8 @@ class AsyncioRuntime(Runtime):
         except Exception as exc:
             self.stats.handler_errors += 1
             self.stats.errors.append(f"timer {label or '?'}: {exc!r}")
+            if self._logs:
+                self._fold_logs_if_quiescent()
         else:
             self.checkpoint(site)
 
@@ -273,29 +391,103 @@ class AsyncioRuntime(Runtime):
     def _site_path(self, site: SiteId) -> str:
         return os.path.join(self.data_dir or "", f"site-{site}.json")
 
+    def _log_path(self, site: SiteId) -> str:
+        return os.path.join(self.data_dir or "", f"site-{site}.log")
+
     def checkpoint(self, site: SiteId) -> None:
-        if not self.durable or site in self._down:
+        if not self.durable:
             return
         provider = self._snapshots.get(site)
-        if provider is None:
+        if provider is not None and site not in self._down:
+            self._persist(site, provider())
+        if self._logs:
+            self._fold_logs_if_quiescent()
+
+    def _persist(self, site: SiteId, snapshot: Dict[str, Any]) -> None:
+        """Append what changed since *site*'s last logged snapshot.
+
+        With nothing logged to compare against (the first checkpoint,
+        the first after a restart), or when the record would make the
+        log larger than the site file, write a fresh site file instead.
+        """
+        logged = self._logged.get(site)
+        if logged is None:
+            self._compact(site, snapshot)
             return
-        path = self._site_path(site)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(dump_snapshot(provider()))
-        os.replace(tmp, path)
+        change = _change(logged, snapshot)
+        if not change:
+            return
+        body = dump_snapshot(change).encode()
+        record = _RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
+        log = self._logs.get(site)
+        logged_bytes = 0 if log is None else log.tell()
+        if logged_bytes + len(record) > self._snapshot_bytes[site]:
+            self._compact(site, snapshot)
+            return
+        if log is None:
+            log = self._logs[site] = open(self._log_path(site), "ab")
+        log.write(record)
+        log.flush()
+        self._logged[site] = snapshot
         self.stats.checkpoints += 1
+        self.stats.log_bytes += len(record)
+
+    def _compact(self, site: SiteId, snapshot: Dict[str, Any]) -> None:
+        """Make *snapshot* the site file (write-then-rename), then remove
+        the log it supersedes.  A crash between the two leaves a log
+        whose records the site file already holds; replaying them over
+        it changes nothing, because records carry absolute values."""
+        path = self._site_path(site)
+        text = dump_snapshot(snapshot)
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+        log = self._logs.pop(site, None)
+        if log is not None:
+            log.close()
+        try:
+            os.remove(self._log_path(site))
+        except FileNotFoundError:
+            pass
+        self._logged[site] = snapshot
+        # One byte per character: json.dumps escapes everything non-ASCII.
+        self._snapshot_bytes[site] = len(text)
+        self.stats.checkpoints += 1
+        self.stats.compactions += 1
+
+    def _fold_logs_if_quiescent(self) -> None:
+        """Once nothing is in flight, every site file alone holds the
+        state: fold each log that has records into its site file."""
+        if self.quiescent():
+            for site in list(self._logs):
+                self._compact(site, self._logged[site])
 
     def load_durable(self, site: SiteId) -> Optional[Dict[str, Any]]:
         if not self.durable:
             return super().load_durable(site)
-        path = self._site_path(site)
+        # The site restarts from its files; its first checkpoint then
+        # writes a fresh site file, which also drops a torn log tail.
+        self._logged.pop(site, None)
+        log = self._logs.pop(site, None)
+        if log is not None:
+            log.close()
+        path, log_path = self._site_path(site), self._log_path(site)
+        try:
+            with open(log_path, "rb") as fh:
+                records = fh.read()
+        except FileNotFoundError:
+            records = b""
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
         except FileNotFoundError:
+            if records:
+                raise DurableStateError(f"{log_path}: no site file {path}")
             return None
-        return parse_snapshot(data, path)
+        snapshot = parse_snapshot(data, path)
+        for change in _records(records, log_path):
+            _apply(snapshot, change)
+        return snapshot
 
     # ------------------------------------------------------------------
     # Fault injection (the live analogue of the sim network's faults)
@@ -363,8 +555,15 @@ class AsyncioRuntime(Runtime):
 
     def _lose_frame(self) -> None:
         """A sent frame that will never reach :meth:`_dispatch`."""
-        self.stats.dropped += 1
         self._in_flight -= 1
+        self._drop()
+
+    def _drop(self) -> None:
+        """Count a frame retired unhandled: the cluster may just have
+        gone quiet."""
+        self.stats.dropped += 1
+        if self._logs:
+            self._fold_logs_if_quiescent()
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -396,18 +595,18 @@ class AsyncioRuntime(Runtime):
         try:
             envelope = self._decode(body)
         except Exception as exc:
-            self.stats.dropped += 1
             self.stats.errors.append(f"decode: {exc!r}")
+            self._drop()
             return
         if envelope.recipient in self._down:
-            self.stats.dropped += 1
+            self._drop()
             return
         if self._fault is not None and self._fault(envelope):
-            self.stats.dropped += 1
+            self._drop()
             return
         handler = self._handlers.get(envelope.recipient)
         if handler is None:
-            self.stats.dropped += 1
+            self._drop()
             return
         self.stats.delivered += 1
         try:
@@ -417,5 +616,7 @@ class AsyncioRuntime(Runtime):
             self.stats.errors.append(
                 f"handler {envelope.recipient}: {exc!r}"
             )
+            if self._logs:
+                self._fold_logs_if_quiescent()
         else:
             self.checkpoint(envelope.recipient)

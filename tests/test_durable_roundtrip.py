@@ -5,9 +5,10 @@ definition of durable site state.  These tests pin that the snapshot is
 complete (the §3.3 forwarding lists travel), that it is a fixed point of
 restore on every schedule the explorer walks, that the simulator cannot
 drift back to surviving a crash in memory, and that what comes back from
-disk is validated instead of trusted.
+disk — site file and site log — is validated instead of trusted.
 """
 
+import asyncio
 import dataclasses
 
 import pytest
@@ -20,9 +21,11 @@ from repro.core.polyvalue import is_polyvalue
 from repro.live import ClusterThread
 from repro.live.client import transfer_script
 from repro.runtime import AsyncioRuntime
-from repro.runtime.base import dump_snapshot, parse_snapshot
+from repro.runtime.base import DurableStateError, dump_snapshot, parse_snapshot
 from repro.txn.site import DatabaseSite
+from repro.txn.system import DistributedSystem
 
+from tests.conftest import move
 from tests.test_forwarding_chain import build as build_chain_system
 from tests.test_forwarding_chain import make_chain
 
@@ -201,3 +204,101 @@ class TestSiteFilesAreValidated:
             with pytest.raises(ReproError, match=message):
                 with ClusterThread(sites=2, seed=4, data_dir=str(tmp_path)):
                     pass  # pragma: no cover - start() must raise
+
+
+@dataclasses.dataclass
+class SiteLog:
+    site_file: bytes
+    log: bytes
+    #: ``states[i]``: the durable state after the log's first i records.
+    states: list
+    #: Byte offset of each record in ``log``.
+    offsets: list
+
+
+@pytest.fixture(scope="module")
+def site_log(tmp_path_factory):
+    """A real site log: site-0 of a simulated bank checkpointed by an
+    ``AsyncioRuntime`` every 10 simulated ms while it commits transfers.
+    A frame is held in flight, so the runtime is never quiescent and
+    never folds the log into the site file."""
+    items = {f"acct-{index:03d}": 100 for index in range(400)}
+    system = DistributedSystem.build(sites=2, items=items, seed=3, jitter=0.0)
+    site = system.sites["site-0"]
+    data_dir = tmp_path_factory.mktemp("logged")
+    rt = AsyncioRuntime(data_dir=str(data_dir))
+    rt.attach_durability("site-0", site.durable_snapshot)
+    rt._in_flight = 1
+    states = []
+    for target in ("acct-001", "acct-003", "acct-005"):
+        system.submit(move("acct-000", target, 5))
+        for _ in range(8):
+            system.run_for(0.01)
+            written = rt.stats.checkpoints
+            rt.checkpoint("site-0")
+            if rt.stats.checkpoints != written:
+                states.append(through_text(site.durable_snapshot()))
+    asyncio.run(rt.close())
+    assert rt.stats.compactions == 1  # the first checkpoint only
+    log = (data_dir / "site-site-0.log").read_bytes()
+    offsets, start = [], 0
+    while start < len(log):
+        offsets.append(start)
+        start += 8 + int.from_bytes(log[start:start + 4], "big")
+    assert len(offsets) == len(states) - 1 >= 4
+    return SiteLog(
+        (data_dir / "site-site-0.json").read_bytes(), log, states, offsets
+    )
+
+
+class TestSiteLogsAreValidated:
+    def load(self, tmp_path, site_file, log):
+        (tmp_path / "site-site-0.json").write_bytes(site_file)
+        (tmp_path / "site-site-0.log").write_bytes(log)
+        return AsyncioRuntime(data_dir=str(tmp_path)).load_durable("site-0")
+
+    def test_site_file_plus_log_is_the_last_state(self, site_log, tmp_path):
+        loaded = self.load(tmp_path, site_log.site_file, site_log.log)
+        assert loaded == site_log.states[-1]
+        assert loaded != site_log.states[-2]
+
+    def test_a_torn_last_record_boots_to_the_record_before(
+        self, site_log, tmp_path
+    ):
+        last = site_log.offsets[-1]
+        damaged = [site_log.log[:cut] for cut in range(last, len(site_log.log))]
+        flipped = bytearray(site_log.log)
+        flipped[-1] ^= 0x01
+        damaged.append(bytes(flipped))
+        for log in damaged:
+            loaded = self.load(tmp_path, site_log.site_file, log)
+            assert loaded == site_log.states[-2], len(log)
+
+    def test_a_damaged_earlier_record_refuses_to_boot(self, site_log, tmp_path):
+        records = zip(site_log.offsets, site_log.offsets[1:])
+        for start, end in records:
+            for position in (start + 4, (start + 8 + end) // 2, end - 1):
+                damaged = bytearray(site_log.log)
+                damaged[position] ^= 0x01  # the CRC, mid-body, last byte
+                with pytest.raises(DurableStateError, match="site-site-0.log"):
+                    self.load(tmp_path, site_log.site_file, bytes(damaged))
+
+    def test_a_leftover_log_over_a_newer_site_file_changes_nothing(
+        self, site_log, tmp_path
+    ):
+        # A crash between the compaction's rename and the log's removal.
+        newest = dump_snapshot(site_log.states[-1]).encode()
+        loaded = self.load(tmp_path, newest, site_log.log)
+        assert loaded == site_log.states[-1]
+
+    def test_a_stray_temporary_site_file_is_ignored(self, site_log, tmp_path):
+        (tmp_path / "site-site-0.json.tmp").write_bytes(b"\x00 half a write")
+        loaded = self.load(tmp_path, site_log.site_file, site_log.log)
+        assert loaded == site_log.states[-1]
+
+    def test_a_log_without_its_site_file_refuses_to_boot(
+        self, site_log, tmp_path
+    ):
+        (tmp_path / "site-site-0.log").write_bytes(site_log.log)
+        with pytest.raises(DurableStateError, match="site-site-0.log"):
+            AsyncioRuntime(data_dir=str(tmp_path)).load_durable("site-0")
