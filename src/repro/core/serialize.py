@@ -19,7 +19,8 @@ blob cannot produce an inconsistent polyvalue.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from collections.abc import Mapping
+from typing import Any, Dict, List
 
 from repro.core.conditions import Condition, Literal
 from repro.core.errors import PolyvalueError

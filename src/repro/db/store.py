@@ -9,15 +9,17 @@ The store knows nothing about transactions or the network; installing
 and discarding staged updates is the participant's job
 (:mod:`repro.txn.participant`).  It does track polyvalue bookkeeping
 counters because "number of items with polyvalues" is the paper's
-central metric.
+central metric, and it keeps the JSON encoding of its values, so a
+durable snapshot re-encodes only the items written since the last one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Mapping
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set
 
 from repro.core.errors import UnknownItemError
 from repro.core.polyvalue import Value, is_polyvalue
+from repro.core.serialize import encode_value
 
 ItemId = str
 
@@ -27,6 +29,12 @@ class ItemStore:
 
     def __init__(self, initial: Mapping[ItemId, Value] = ()) -> None:
         self._values: Dict[ItemId, Value] = dict(initial)
+        #: ``encode_value`` of every item, in store order; built by the
+        #: first :meth:`encoded_values` call.
+        self._encoded: Optional[Dict[ItemId, Any]] = None
+        #: Items created or written since :meth:`encoded_values` last
+        #: encoded them.
+        self._stale: Set[ItemId] = set(self._values)
         #: Lifetime counters, consumed by the metrics layer.
         self.polyvalues_installed = 0
         self.polyvalues_resolved = 0
@@ -69,6 +77,9 @@ class ItemStore:
         if item in self._values:
             raise UnknownItemError(f"item {item!r} already exists")
         self._values[item] = value
+        self._stale.add(item)
+        if self._encoded is not None:
+            self._encoded[item] = None  # holds the item's place in store order
 
     def write(self, item: ItemId, value: Value) -> None:
         """Overwrite *item* with *value*, maintaining polyvalue counters."""
@@ -81,6 +92,7 @@ class ItemStore:
         elif was_poly and not now_poly:
             self.polyvalues_resolved += 1
         self._values[item] = value
+        self._stale.add(item)
 
     # ------------------------------------------------------------------
     # Polyvalue accounting
@@ -97,5 +109,25 @@ class ItemStore:
         return sum(1 for value in self._values.values() if is_polyvalue(value))
 
     def all_values(self) -> Dict[ItemId, Value]:
-        """A copy of the full item→value mapping (for assertions/tests)."""
+        """A copy of the full item→value mapping (what
+        ``Cluster.database_state`` merges, and what tests assert on)."""
         return dict(self._values)
+
+    def encoded_values(self) -> Dict[ItemId, Any]:
+        """``encode_state(self.all_values())``, re-encoding only the items
+        created or written since the last call.
+
+        Stale items are encoded in sorted order, so a value that is not
+        JSON-serialisable raises :class:`SerializationError` naming the
+        same item on every run, and keeps raising on every call until the
+        item is overwritten.  The result is a fresh dict: a caller that
+        keeps it to diff against a later one (the asyncio runtime's site
+        log) must not see it change.
+        """
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = dict.fromkeys(self._values)
+        for item in sorted(self._stale):
+            encoded[item] = encode_value(self._values[item])
+        self._stale.clear()
+        return dict(encoded)

@@ -20,8 +20,9 @@ The message registry is explicit: an unknown type name on decode is a
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import fields
-from typing import Any, Dict, Mapping, Type
+from typing import Any, Dict, Type
 
 from repro.core.errors import ReproError
 from repro.core.polyvalue import is_polyvalue

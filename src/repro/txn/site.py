@@ -396,15 +396,15 @@ class DatabaseSite:
         txn id).  Every restart on every runtime rebuilds the site from
         this and nothing else (:meth:`restore_durable`): the simulator
         holds it from crash to recovery, the
-        :class:`~repro.runtime.aio.AsyncioRuntime` writes it to the site
-        file after every action, :mod:`repro.txn.snapshot` collects one
-        per site.
+        :class:`~repro.runtime.aio.AsyncioRuntime` diffs it after every
+        action against the one it last logged and appends the change to
+        the site's log, :mod:`repro.txn.snapshot` collects one per site.
         """
         rt = self.runtime
         return {
             "version": self.DURABLE_VERSION,
             "site": self.site_id,
-            "values": encode_state(rt.store.all_values()),
+            "values": rt.store.encoded_values(),
             "outcome_log": {
                 txn: {
                     "committed": entry.committed,
