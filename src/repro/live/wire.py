@@ -144,7 +144,9 @@ def encode_envelope(envelope: Envelope) -> bytes:
 
 
 def decode_envelope(data: bytes) -> Envelope:
-    """The inverse of :func:`encode_envelope` (uid is re-minted locally)."""
+    """The inverse of :func:`encode_envelope`: every field of the
+    envelope travels in the frame, so the decoded envelope equals the
+    one encoded."""
     try:
         frame = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -9,16 +9,13 @@ without knowing anything about the commit protocol.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.sim.events import SimTime
 
 #: Site identifiers are plain strings (e.g. ``"site-0"``).
 SiteId = str
-
-_envelope_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -29,7 +26,6 @@ class Envelope:
     recipient: SiteId
     payload: Any
     sent_at: SimTime
-    uid: int = field(default_factory=lambda: next(_envelope_counter))
 
     def __str__(self) -> str:
         return (

@@ -8,7 +8,9 @@ cancel (e.g. a participant cancels its wait-phase timeout when the
 
 The engine is intentionally minimal — no processes, no coroutines — and
 fully deterministic for a fixed schedule: ties in firing time break by
-scheduling order.
+scheduling order.  The heap holds ``(time, seq, event)`` tuples; ``seq``
+is unique, so ordering is the C-level tuple comparison of two floats
+and two ints, never a call into Python.
 
 Quiescence — "nothing pending but the background periodics" — is a
 counter, not a search: the simulator counts foreground events in at
@@ -18,8 +20,8 @@ so asking costs the same at every queue length.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.sim.events import BACKGROUND_LABELS, Action, Event, SimTime
@@ -41,7 +43,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: SimTime = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[SimTime, int, Event]] = []
         self._sequence = 0
         self._processed = 0
         #: Pending, uncancelled events whose label is not a
@@ -71,7 +73,7 @@ class Simulator:
     @property
     def events_pending(self) -> int:
         """How many events are scheduled and not cancelled."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def foreground_pending(self) -> int:
@@ -96,12 +98,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current t={self._now}"
             )
-        event = Event(time=time, seq=self._sequence, action=action, label=label)
-        self._sequence += 1
+        seq = self._sequence
+        self._sequence = seq + 1
+        event = Event(time, seq, action, label)
         if not label.startswith(BACKGROUND_LABELS):
             event.counted_by = self
             self._foreground += 1
-        heapq.heappush(self._queue, event)
+        heappush(self._queue, (time, seq, event))
         return event
 
     # ------------------------------------------------------------------
@@ -111,20 +114,21 @@ class Simulator:
     def _peek(self) -> Optional[Event]:
         """The next event that will fire (None when none remain)."""
         queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-        return queue[0] if queue else None
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
+        return queue[0][2] if queue else None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False when none remain."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = heappop(queue)
             if event.cancelled:
                 continue
             if event.counted_by is not None:
                 event.counted_by = None
                 self._foreground -= 1
-            self._now = event.time
+            self._now = time
             self._processed += 1
             event.action()
             return True
@@ -138,7 +142,7 @@ class Simulator:
             if max_events is not None and fired >= max_events:
                 return
 
-    def run_until(self, time: SimTime, *, max_events: Optional[int] = None) -> None:
+    def run_until(self, time: SimTime) -> None:
         """Run all events with firing time ≤ *time*, then set the clock there.
 
         The clock always ends at exactly *time*, so repeated
@@ -158,8 +162,6 @@ class Simulator:
                 break
             self.step()
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
         self._now = max(self._now, time)
         bus = self.bus
         if bus:

@@ -3,8 +3,10 @@
 The kernel is a classic event-list simulator: events carry a firing
 time, a tie-breaking sequence number, and a zero-argument action.  The
 paper's own evaluation (section 4.2) is a discrete-event simulation;
-this kernel underlies both our full-system simulator (sites, messages,
-2PC) and nothing else needs to know about heap ordering details.
+this kernel underlies our full-system simulator (sites, messages,
+2PC).  Ordering lives in the simulator, not here: its heap holds
+``(time, seq, event)`` tuples, and since ``seq`` is unique the heap
+orders by ``(time, seq)`` alone and never compares two events.
 
 An event's label also decides whether it counts against quiescence:
 labels starting with a :data:`BACKGROUND_LABELS` prefix are the
@@ -14,7 +16,6 @@ simulator counts while it is pending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # engine imports this module
@@ -33,24 +34,35 @@ Action = Callable[[], None]
 BACKGROUND_LABELS = ("outcome-maintenance", "workload-arrival", "arrival")
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled action.
+    """A scheduled action: the handle :meth:`Simulator.schedule` returns.
 
-    Ordering is by ``(time, seq)``: events at the same instant fire in
-    scheduling order, which keeps runs deterministic for a fixed seed.
-    ``cancelled`` is checked at dispatch (lazy deletion, the standard
-    heapq idiom) so cancellation is O(1).
+    The simulator's heap holds ``(time, seq, event)`` entries, so events
+    at the same instant fire in scheduling order -- which keeps runs
+    deterministic for a fixed seed -- and the heap never compares two
+    events.  ``cancelled`` is checked at dispatch (lazy deletion, the
+    standard heapq idiom) so cancellation is O(1).
     """
 
-    time: SimTime
-    seq: int
-    action: Action = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: The simulator still counting this event as pending foreground
-    #: work; None for background events and once fired or cancelled.
-    counted_by: Optional["Simulator"] = field(default=None, compare=False)
+    __slots__ = ("time", "seq", "action", "label", "cancelled", "counted_by")
+
+    def __init__(
+        self,
+        time: SimTime,
+        seq: int,
+        action: Action,
+        label: str = "",
+        cancelled: bool = False,
+        counted_by: Optional["Simulator"] = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.label = label
+        self.cancelled = cancelled
+        #: The simulator still counting this event as pending foreground
+        #: work; None for background events and once fired or cancelled.
+        self.counted_by = counted_by
 
     def cancel(self) -> None:
         """Prevent this event from firing (safe if already fired)."""

@@ -60,8 +60,13 @@ class Rng:
         return self._random.expovariate(1.0 / mean)
 
     def uniform(self, low: float, high: float) -> float:
-        """A uniform variate on ``[low, high)``."""
-        return self._random.uniform(low, high)
+        """A uniform variate on ``[low, high)``.
+
+        CPython's own ``Random.uniform`` formula, inlined: one draw,
+        bit-identical results, one Python call fewer per network jitter
+        sample.
+        """
+        return low + (high - low) * self._random.random()
 
     def bernoulli(self, probability: float) -> bool:
         """True with the given *probability*."""

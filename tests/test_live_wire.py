@@ -100,6 +100,7 @@ class TestWireRoundtrip:
         back = decode_envelope(encode_envelope(envelope))
         assert (back.sender, back.recipient, back.sent_at) == ("s0", "s1", 1.25)
         assert back.payload == envelope.payload
+        assert back == envelope
 
     def test_unregistered_type_rejected_on_encode(self):
         with pytest.raises(WireError):

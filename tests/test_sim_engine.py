@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.explorer import random_walk, run_schedule
 from repro.core.errors import SimulationError
@@ -129,6 +131,21 @@ class TestRunControl:
         sim = Simulator()
         assert sim.step() is False
 
+    def test_clock_never_runs_backwards(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 8.0):
+            sim.schedule_at(t, lambda: None)
+        seen = [sim.now]
+        sim.run_until(5.0)
+        seen.append(sim.now)
+        while sim.step():
+            seen.append(sim.now)
+        assert seen == [0.0, 5.0, 8.0]
+        # run_until takes no event budget: stopping early yet setting the
+        # clock to the window's end would let the next step run it back.
+        with pytest.raises(TypeError):
+            sim.run_until(9.0, max_events=1)
+
     def test_run_max_events(self):
         sim = Simulator()
         fired = []
@@ -157,7 +174,7 @@ def scan_foreground(sim):
     """The reference the counter must equal: a scan of the whole queue."""
     return sum(
         1
-        for event in sim._queue
+        for _, _, event in sim._queue
         if not event.cancelled and not event.label.startswith(BACKGROUND_LABELS)
     )
 
@@ -284,6 +301,91 @@ class TestForegroundCounter:
         again()
         with pytest.raises(SimulationError):
             sim.run_until_quiescent(max_events=50)
+
+
+#: Delays and run-until offsets from a small set, so many events tie.
+OFFSETS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])
+LABELS = st.sampled_from(
+    ["", "wait-timeout:T1", "deliver", "arrival", "outcome-maintenance:s1"]
+)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), OFFSETS, LABELS, st.none() | OFFSETS),
+        st.tuples(st.just("schedule_at"), OFFSETS, LABELS, st.none() | OFFSETS),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run_until"), OFFSETS),
+    ),
+    max_size=60,
+)
+
+
+class TestEngineProperties:
+    """Random mixes of scheduling, cancelling and running, checked
+    against a reference: events fire in ``(time, seq)`` order, exactly
+    the ones not cancelled before firing, and the counters equal a
+    scan of the queue after every operation."""
+
+    @given(OPERATIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_fired_order_and_counters_match_a_reference(self, operations):
+        sim = Simulator()
+        handles = []  # every event scheduled, in scheduling order
+        fired = []  # handles, in firing order
+        done = set()  # ids of handles fired, or cancelled before firing
+        cancelled = set()  # ids of handles cancelled before firing
+
+        def schedule(kind, offset, label, child):
+            """Schedule one event; if *child* is set, firing it schedules
+            a follow-up *child* seconds later."""
+            box = []
+
+            def action():
+                fired.append(box[0])
+                done.add(id(box[0]))
+                if child is not None:
+                    schedule("schedule", child, label, None)
+
+            if kind == "schedule":
+                box.append(sim.schedule(offset, action, label=label))
+            else:
+                box.append(sim.schedule_at(sim.now + offset, action, label=label))
+            handles.append(box[0])
+
+        clock = [sim.now]
+        for operation in operations:
+            kind = operation[0]
+            pending = [h for h in handles if id(h) not in done]
+            if kind in ("schedule", "schedule_at"):
+                schedule(*operation)
+            elif kind == "cancel" and handles:
+                handle = handles[operation[1] % len(handles)]
+                if id(handle) not in done:
+                    cancelled.add(id(handle))
+                    done.add(id(handle))
+                handle.cancel()
+            elif kind == "step":
+                assert sim.step() is bool(pending)
+            elif kind == "run_until":
+                sim.run_until(sim.now + operation[1])
+            clock.append(sim.now)
+            pending = [h for h in handles if id(h) not in done]
+            assert sim.events_pending == len(pending)
+            assert sim.foreground_pending == scan_foreground(sim)
+            assert sim.foreground_pending == sum(
+                not h.label.startswith(BACKGROUND_LABELS) for h in pending
+            )
+        sim.run()
+        clock.append(sim.now)
+        assert clock == sorted(clock)
+        assert sim.events_pending == sim.foreground_pending == 0
+        expected = sorted(
+            (h for h in handles if id(h) not in cancelled),
+            key=lambda h: (h.time, h.seq),
+        )
+        assert [(h.time, h.seq) for h in fired] == [
+            (h.time, h.seq) for h in expected
+        ]
 
 
 class TestPeriodicTask:
