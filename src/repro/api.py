@@ -34,9 +34,8 @@ The surface, by layer:
   dashboard (:class:`DashboardServer`, :class:`LiveState`,
   :func:`serve_dash`) behind ``repro serve-dash``
   (``docs/observability.md``, "The campaign store").
-* **Correctness harness** — :func:`explore`, :func:`run_mutation_smoke`,
-  :func:`run_protocol_mutation_smoke` and the oracle entry points
-  (``docs/testing.md``).
+* **Correctness harness** — :func:`explore`, :func:`run_mutation_smoke`
+  and the oracle entry points (``docs/testing.md``).
 * **Resilience** — the gray-failure fault model
   (:class:`FailureAction`, :class:`ScheduleScript`), adaptive patience
   (:class:`TimeoutPolicy`, :class:`RttEstimator`, :class:`Patience`),
@@ -181,11 +180,8 @@ from repro.obs.live import DashboardServer, LiveState, serve_dash
 
 # Correctness harness (PR 2, docs/testing.md).
 from repro.check.explorer import explore, replay, run_schedule
-from repro.check.mutation import (
-    PROTOCOL_FAULTS,
-    run_mutation_smoke,
-    run_protocol_mutation_smoke,
-)
+from repro.check.mutants import PROTOCOL_FAULTS
+from repro.check.mutation import run_mutation_smoke
 from repro.check.oracles import CheckContext, check_converged, check_quiescent, failed
 
 # Resilience layer: gray-failure chaos campaign (docs/faults.md).
@@ -359,7 +355,6 @@ __all__ = [
     "run_campaign",
     "run_frontier",
     "run_mutation_smoke",
-    "run_protocol_mutation_smoke",
     "run_schedule",
     "run_serve",
     "run_trials",

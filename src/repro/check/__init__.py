@@ -24,8 +24,10 @@ This package makes those claims machine-checkable:
   interleavings plus systematic small-scope enumeration, checking every
   oracle at each quiescent point and emitting a replayable
   ``(seed, schedule)`` artifact on violation;
-* :mod:`repro.check.mutation` — the mutation smoke test that arms a
-  deliberately-wrong wait-phase branch and proves the oracles notice.
+* :mod:`repro.check.mutants` — the catalogue of deliberate protocol
+  bugs, armed on a built system from outside the protocol code;
+* :mod:`repro.check.mutation` — the mutation smoke test that arms each
+  of them in turn and proves the oracles notice.
 
 Command line: ``python -m repro check`` (see ``docs/testing.md``).
 """
@@ -42,7 +44,8 @@ from repro.check.explorer import (
     replay,
     run_schedule,
 )
-from repro.check.mutation import FAULTS, MutationReport, run_mutation_smoke
+from repro.check.mutants import FAULTS
+from repro.check.mutation import MutationReport, run_mutation_smoke
 from repro.check.oracles import (
     ALL_ORACLES,
     CONVERGENCE_ORACLES,

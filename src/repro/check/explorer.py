@@ -46,6 +46,7 @@ from repro.parallel.pool import run_trials
 from repro.parallel.seeds import trial_seeds
 from repro.sim.rand import Rng
 from repro.txn.config import ProtocolConfig, config_for_protocol
+from repro.check.mutants import arm
 from repro.check.oracles import (
     CheckContext,
     Verdict,
@@ -82,9 +83,8 @@ class Schedule:
     actions: Tuple[FailureAction, ...]
     #: When the scenario's traffic is over and finalisation may begin.
     horizon: float = 4.5
-    #: Armed protocol fault (mutation smoke test only; None normally).
-    #: Plain names arm ``wait_phase_fault``; the ``paxos:``/``path:``
-    #: prefixes arm the corresponding protocol's fault hook.
+    #: The mutant :func:`run_schedule` arms on the built system (a
+    #: :data:`repro.check.mutants.FAULTS` name; None normally).
     fault: Optional[str] = None
     #: Which commit protocol to explore (a repro.txn.runtime
     #: PROTOCOL_NAMES entry; None = the default polyvalue system).
@@ -138,28 +138,12 @@ class Schedule:
 def schedule_config(schedule: Schedule) -> Optional[ProtocolConfig]:
     """The protocol configuration a schedule asks for (None = defaults).
 
-    Fault names are namespaced by protocol: a plain name arms the
-    participant's ``wait_phase_fault`` (the original mutation
-    catalogue), ``paxos:<name>`` arms ``paxos_fault``, ``path:<name>``
-    arms ``path_fault`` — one schedule field round-trips every mutant.
-    Returns None when neither a protocol nor a fault is requested, so
-    the unconfigured baseline path stays bit-for-bit identical.
+    Only ``schedule.protocol`` shapes the configuration; a mutant is
+    armed on the built system instead (:func:`run_schedule`).
     """
-    if not schedule.fault and not schedule.protocol:
+    if not schedule.protocol:
         return None
-    base = ProtocolConfig()
-    if schedule.fault:
-        if schedule.fault.startswith("paxos:"):
-            base = dataclasses.replace(
-                base, paxos_fault=schedule.fault.split(":", 1)[1]
-            )
-        elif schedule.fault.startswith("path:"):
-            base = dataclasses.replace(
-                base, path_fault=schedule.fault.split(":", 1)[1]
-            )
-        else:
-            base = dataclasses.replace(base, wait_phase_fault=schedule.fault)
-    return config_for_protocol(schedule.protocol or "polyvalue", base=base)
+    return config_for_protocol(schedule.protocol)
 
 
 @dataclass(frozen=True)
@@ -196,6 +180,8 @@ class ExplorationResult:
     #: Position in the campaign's task list (set by the reduce step);
     #: the key the store's trial rows are written under.
     task_index: Optional[int] = None
+    #: How many times the armed mutant's bug ran (0 when none is armed).
+    fault_fired: int = 0
 
     @property
     def ok(self) -> bool:
@@ -424,8 +410,11 @@ def run_schedule(
     *system_factory* (``schedule -> DistributedSystem``) overrides the
     default scenario construction — the chaos campaign uses it to build
     scenarios over lossy/corrupting networks with resilience configs.
-    A factory takes full responsibility for the config (including
-    ``schedule.fault``, which the default path arms itself).
+    A factory takes full responsibility for the config.  Either way,
+    ``schedule.fault`` is armed on the system once it is built
+    (:func:`repro.check.mutants.arm`; an unknown name raises
+    ValueError before anything runs), and the result's
+    ``fault_fired`` counts how often the bug ran.
     """
     if system_factory is not None:
         system = system_factory(schedule)
@@ -433,6 +422,7 @@ def run_schedule(
         system = build_scenario(
             schedule.scenario, schedule.seed, config=schedule_config(schedule)
         )
+    armed = arm(system, schedule.fault)
     ctx = CheckContext(system=system)
     script = ScheduleScript(system.sim, system, system.network, ())
     violations: List[Violation] = []
@@ -500,6 +490,7 @@ def run_schedule(
         artifact_path=artifact_path,
         stats=system.metrics.summary(),
         in_doubt_hist=_in_doubt_hist(system),
+        fault_fired=armed.fired,
     )
 
 
@@ -598,8 +589,7 @@ def explore(
     exact walk seeds instead (replay, tests).  Every seed yields one
     random walk per scenario; the small-scope enumeration is appended
     once (it is deterministic and seed-free).  *fault* arms a
-    wait-phase mutation in every run (used by the mutation smoke test;
-    ``paxos:``/``path:`` prefixes arm the new protocols' mutants) and
+    mutant (:data:`repro.check.mutants.FAULTS`) in every run and
     *protocol* walks a non-default commit protocol — see
     :func:`schedule_config`.
 

@@ -1,22 +1,22 @@
 """Mutation smoke test: prove the oracles catch real protocol bugs.
 
 An oracle library that has never failed proves nothing — it might be
-vacuously green.  This module arms one of three deliberately-wrong
-branches in the participant wait phase (guarded behind
-``ProtocolConfig.wait_phase_fault``, never enabled in any real
-configuration) and runs the schedule explorer over schedules that force
-polyvalue installation.  The harness passes only if **every** fault is
-caught by at least one oracle **and** the unmutated protocol passes the
-same schedules clean.
+vacuously green.  :func:`run_mutation_smoke` arms each mutant of the
+:mod:`repro.check.mutants` catalogue in turn (the bugs are applied to a
+built system from the harness; no protocol code carries a fault knob)
+and runs the schedule explorer over schedules under which that mutant
+is observable.  The harness passes only if **every** mutant is caught
+by at least one oracle **and** the unmutated protocol passes the same
+schedules clean.
 
-The three faults each break a different paper claim, so together they
-exercise most of the oracle catalogue:
+The three wait-phase mutants each break a different paper claim, so
+together they exercise most of the oracle catalogue:
 
 * ``unilateral-commit`` — the participant commits its staged writes at
   wait timeout instead of installing polyvalues (the classic unsafe
   resolution of the in-doubt window; section 2).  Caught by
   serial-equivalence (a possibly-aborted transaction's effects
-  survive) and decision bookkeeping oracles.
+  survive).
 * ``overlapping-conditions`` — the installed polyvalue pairs
   ``<new, T>`` with ``<old, TRUE>`` instead of ``<old, ~T>``, so two
   conditions are simultaneously true (violates section 3's
@@ -26,12 +26,13 @@ exercise most of the oracle catalogue:
   polyvalue mechanism exists to provide.  Caught by no-blocking and
   convergence.
 
-The bake-off peers get their own catalogue (:data:`PROTOCOL_FAULTS`,
-run by :func:`run_protocol_mutation_smoke`): a Paxos acceptor that
-acks without persisting its vote (caught by decision-consistency via
-the shared decision board) and a path-sensitive pre-analysis that
-misclassifies or drops effects (caught by the effect-conservation
-oracle).
+The bake-off peers' mutants (:data:`PROTOCOL_FAULTS`) are a Paxos
+acceptor that acks without persisting its vote (caught by
+decision-consistency via the shared decision board) and a
+path-sensitive pre-analysis that misclassifies or drops effects
+(caught by the effect-conservation oracle).  Each mutant needs its own
+traffic shape or failure timing to become observable, so the schedules
+are chosen per fault (:func:`smoke_schedules`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.net.failures import FailureAction
 from repro.check.explorer import (
@@ -48,43 +49,7 @@ from repro.check.explorer import (
     enumerate_small_scope,
     run_schedule,
 )
-
-#: fault name -> what the armed branch does wrong.
-FAULTS: Dict[str, str] = {
-    "unilateral-commit": (
-        "wait timeout commits staged writes outright instead of "
-        "installing polyvalues"
-    ),
-    "overlapping-conditions": (
-        "installed polyvalues pair <new, T> with <old, TRUE>, so the "
-        "condition set is not disjoint"
-    ),
-    "keep-locks": (
-        "polyvalues are installed but the write locks are never "
-        "released (availability lost)"
-    ),
-}
-
-#: Protocol-specific mutants for the bake-off peers.  Names are
-#: namespaced (``paxos:``/``path:``) so one schedule ``fault`` field
-#: round-trips every catalogue; :func:`repro.check.explorer.schedule_config`
-#: arms the matching protocol's fault hook.
-PROTOCOL_FAULTS: Dict[str, str] = {
-    "paxos:acceptor-no-persist": (
-        "an acceptor replies Phase2b without recording the accepted "
-        "vote, so a failover proposer's Phase1 reads an empty history "
-        "and can decide differently from the ballot-0 leader"
-    ),
-    "path:misclassify-one": (
-        "the pre-analysis probes a single snapshot, so one "
-        "order-sensitive transaction is misclassified as decomposable "
-        "and committed without coordination"
-    ),
-    "path:drop-remote-apply": (
-        "the first remote delta of a decomposable commit is silently "
-        "swallowed instead of being shipped, losing a committed effect"
-    ),
-}
+from repro.check.mutants import FAULTS, installer
 
 
 @dataclass
@@ -95,6 +60,8 @@ class FaultOutcome:
     schedules_run: int
     violations: List[Violation]
     oracles_triggered: List[str] = field(default_factory=list)
+    #: Per schedule, how many times the armed bug ran.
+    fired: List[int] = field(default_factory=list)
 
     @property
     def caught(self) -> bool:
@@ -152,17 +119,6 @@ def _armed(schedule: Schedule, fault: Optional[str]) -> Schedule:
         schedule,
         fault=fault,
         label=f"{schedule.label}|fault={fault}" if fault else schedule.label,
-    )
-
-
-def smoke_schedules(seed: int = 0) -> List[Schedule]:
-    """Schedules that force polyvalue installation (long coordinator
-    outages straddling the wait phase), where the faulty branch runs."""
-    return enumerate_small_scope(
-        ("pair", "transfers"),
-        seed=seed,
-        crash_instants=(0.03, 0.045),
-        durations=(2.5,),
     )
 
 
@@ -229,72 +185,23 @@ def _path_smoke_schedules(fault: str, seed: int) -> List[Schedule]:
     ]
 
 
-def protocol_smoke_schedules(fault: str, seed: int = 0) -> List[Schedule]:
-    """Schedules (fault *not* yet armed) under which *fault* is visible."""
-    if fault not in PROTOCOL_FAULTS:
-        raise ValueError(
-            f"unknown protocol fault {fault!r}; "
-            f"known: {', '.join(sorted(PROTOCOL_FAULTS))}"
-        )
+def smoke_schedules(fault: str, seed: int = 0) -> List[Schedule]:
+    """Schedules (fault *not* yet armed) under which *fault* is visible.
+
+    The wait-phase mutants share schedules that force polyvalue
+    installation (long coordinator outages straddling the wait phase).
+    Raises ValueError for a name outside the catalogue.
+    """
+    installer(fault)
     if fault.startswith("paxos:"):
         return _paxos_smoke_schedules(seed)
-    return _path_smoke_schedules(fault, seed)
-
-
-def run_protocol_mutation_smoke(
-    *,
-    faults: Sequence[str] = tuple(PROTOCOL_FAULTS),
-    seed: int = 0,
-    artifact_dir: Optional[str] = None,
-) -> MutationReport:
-    """Mutation smoke for the bake-off peers' state machines.
-
-    Mirrors :func:`run_mutation_smoke`: for every protocol fault, the
-    same schedules must run clean with the fault disarmed (the peer
-    protocols are correct under the stress that exposes the mutant) and
-    produce at least one oracle violation with it armed.  Schedules are
-    per-fault because each mutant needs different traffic shape or
-    failure timing to become observable.
-    """
-    for fault in faults:
-        if fault not in PROTOCOL_FAULTS:
-            raise ValueError(
-                f"unknown protocol fault {fault!r}; "
-                f"choose from {sorted(PROTOCOL_FAULTS)}"
-            )
-    started = time.perf_counter()
-    baseline_violations: List[Violation] = []
-    baseline_done: Set[str] = set()
-    outcomes: List[FaultOutcome] = []
-    schedules_per_fault = 0
-    for fault in faults:
-        schedules = protocol_smoke_schedules(fault, seed)
-        schedules_per_fault = max(schedules_per_fault, len(schedules))
-        for schedule in schedules:
-            key = schedule.fingerprint()
-            if key not in baseline_done:
-                baseline_done.add(key)
-                result = run_schedule(schedule, artifact_dir=artifact_dir)
-                baseline_violations.extend(result.violations)
-        violations: List[Violation] = []
-        for schedule in schedules:
-            result = run_schedule(_armed(schedule, fault))
-            violations.extend(result.violations)
-        outcomes.append(
-            FaultOutcome(
-                fault=fault,
-                schedules_run=len(schedules),
-                violations=violations,
-                oracles_triggered=sorted(
-                    {violation.oracle for violation in violations}
-                ),
-            )
-        )
-    return MutationReport(
-        baseline_violations=baseline_violations,
-        outcomes=outcomes,
-        schedules_per_fault=schedules_per_fault,
-        wall_seconds=time.perf_counter() - started,
+    if fault.startswith("path:"):
+        return _path_smoke_schedules(fault, seed)
+    return enumerate_small_scope(
+        ("pair", "transfers"),
+        seed=seed,
+        crash_instants=(0.03, 0.045),
+        durations=(2.5,),
     )
 
 
@@ -306,40 +213,41 @@ def run_mutation_smoke(
 ) -> MutationReport:
     """Run the smoke test: baseline must be clean, every fault caught.
 
-    Artifacts (when *artifact_dir* is given) are written only for
-    baseline violations — a violation under an armed fault is the
-    expected outcome, not a finding.
+    Every fault runs over its own :func:`smoke_schedules`; each distinct
+    schedule also runs once with nothing armed, and those baseline runs
+    must raise no violation.  Unknown fault names are rejected before
+    anything runs.  Artifacts (when *artifact_dir* is given) are
+    written only for baseline violations — a violation under an armed
+    fault is the expected outcome, not a finding.
     """
-    for fault in faults:
-        if fault not in FAULTS:
-            raise ValueError(
-                f"unknown fault {fault!r}; choose from {sorted(FAULTS)}"
-            )
-    schedules = smoke_schedules(seed)
+    schedules = {fault: smoke_schedules(fault, seed) for fault in faults}
     started = time.perf_counter()
     baseline_violations: List[Violation] = []
-    for schedule in schedules:
-        result = run_schedule(schedule, artifact_dir=artifact_dir)
-        baseline_violations.extend(result.violations)
+    baseline_done: Set[str] = set()
     outcomes: List[FaultOutcome] = []
     for fault in faults:
-        violations: List[Violation] = []
-        for schedule in schedules:
-            result = run_schedule(_armed(schedule, fault))
-            violations.extend(result.violations)
+        for schedule in schedules[fault]:
+            key = schedule.fingerprint()
+            if key not in baseline_done:
+                baseline_done.add(key)
+                result = run_schedule(schedule, artifact_dir=artifact_dir)
+                baseline_violations.extend(result.violations)
+        results = [
+            run_schedule(_armed(schedule, fault)) for schedule in schedules[fault]
+        ]
+        violations = [v for result in results for v in result.violations]
         outcomes.append(
             FaultOutcome(
                 fault=fault,
-                schedules_run=len(schedules),
+                schedules_run=len(results),
                 violations=violations,
-                oracles_triggered=sorted(
-                    {violation.oracle for violation in violations}
-                ),
+                oracles_triggered=sorted({v.oracle for v in violations}),
+                fired=[result.fault_fired for result in results],
             )
         )
     return MutationReport(
         baseline_violations=baseline_violations,
         outcomes=outcomes,
-        schedules_per_fault=len(schedules),
+        schedules_per_fault=max(map(len, schedules.values()), default=0),
         wall_seconds=time.perf_counter() - started,
     )

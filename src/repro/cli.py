@@ -541,10 +541,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     recorder.store, recorder.run_id, report
                 )
         if args.mutation or args.mutation_only:
-            from repro.check.mutation import run_protocol_mutation_smoke
+            from repro.check.mutants import PROTOCOL_FAULTS, WAIT_PHASE_FAULTS
 
-            for runner in (run_mutation_smoke, run_protocol_mutation_smoke):
-                smoke = runner(seed=args.seed, artifact_dir=args.artifact_dir)
+            for faults in (WAIT_PHASE_FAULTS, PROTOCOL_FAULTS):
+                smoke = run_mutation_smoke(
+                    faults=faults, seed=args.seed, artifact_dir=args.artifact_dir
+                )
                 for line in smoke.summary_lines():
                     print(line)
                 if not smoke.ok:

@@ -16,7 +16,10 @@ mechanism and the two baseline behaviours of section 2:
 Configuration is pure data: nothing here touches a clock, a network, or
 a runtime, which is why the runtime redesign split it out of
 :mod:`repro.txn.runtime` (the old import path still works through a
-:class:`DeprecationWarning` shim).
+:class:`DeprecationWarning` shim).  Nor does it carry any fault
+knob: the correctness harness's deliberate protocol bugs are armed on a
+built system from outside the protocol code
+(:mod:`repro.check.mutants`).
 """
 
 from __future__ import annotations
@@ -119,12 +122,6 @@ class ProtocolConfig:
     #: installing more — bounding in-doubt state under overload at the
     #: cost of availability on the affected items.  None disables.
     polyvalue_budget: Optional[int] = None
-    #: Fault injection for the correctness harness (repro.check) ONLY.
-    #: None in any real configuration.  When set to a fault name (see
-    #: :data:`repro.check.mutation.FAULTS`), the participant's
-    #: wait-phase branch deliberately misbehaves so the mutation smoke
-    #: test can prove the invariant oracles detect protocol bugs.
-    wait_phase_fault: Optional[str] = None
     #: Which commit protocol the system runs.  ``TWO_PHASE`` keeps the
     #: paper's protocol (modulated by :attr:`policy`); ``PAXOS`` and
     #: ``PATH_SENSITIVE`` select the bake-off peers.
@@ -138,16 +135,6 @@ class ProtocolConfig:
     #: leader's decision before starting leader failover (running
     #: Phase 1 itself with a higher ballot).
     paxos_failover_timeout: float = 0.5
-    #: Fault injection for the Paxos state machine (repro.check ONLY):
-    #: ``"acceptor-no-persist"`` makes acceptors acknowledge Phase 2a
-    #: without persisting, so failover can resurrect a forgotten vote
-    #: and contradict the fast-path decision.
-    paxos_fault: Optional[str] = None
-    #: Fault injection for the path-sensitive analyser (repro.check
-    #: ONLY): ``"misclassify-one"`` forces the first
-    #: coordination-requiring transaction onto the local fast path, so
-    #: the effect oracles can prove they catch a wrong classification.
-    path_fault: Optional[str] = None
 
     @property
     def protocol_kind(self) -> str:
@@ -180,8 +167,8 @@ def config_for_protocol(
 ) -> ProtocolConfig:
     """A :class:`ProtocolConfig` for one of the five ``--protocol`` names.
 
-    *base* supplies every other tunable (timeouts, retry policy, fault
-    hooks); only the (protocol, policy) pair is rewritten.  The
+    *base* supplies every other tunable (timeouts, retry policy,
+    budgets); only the (protocol, policy) pair is rewritten.  The
     path-sensitive residue path runs the polyvalue policy so its
     coordinated transactions inherit the paper's availability story.
     """

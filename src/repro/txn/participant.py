@@ -511,57 +511,6 @@ class Participant:
         only live windows feed the measured-F cross-validation.
         """
         rt = self._rt
-        fault = rt.config.wait_phase_fault
-        if fault is not None and staged:
-            # Deliberately-wrong branches, reachable only when the
-            # correctness harness arms ProtocolConfig.wait_phase_fault.
-            # They exist to prove the repro.check oracles catch real
-            # protocol bugs (mutation smoke test); see
-            # repro.check.mutation for the catalogue.
-            if fault == "unilateral-commit":
-                # BUG (intentional): treat the timeout as a commit and
-                # install the new values as simple values.  If the
-                # coordinator in fact aborted, the update survives —
-                # serial equivalence is violated.
-                self._install_staged(txn, staged)
-                return
-            if fault == "overlapping-conditions":
-                # BUG (intentional): install ``{<new, T>, <old, TRUE>}``
-                # instead of ``{<new, T>, <old, ~T>}`` — the condition
-                # set is no longer disjoint.
-                from repro.core.conditions import Condition
-
-                for item, new_value in staged.items():
-                    old_value = rt.store.read(item)
-                    malformed = Polyvalue(
-                        [
-                            (new_value, Condition.of(txn)),
-                            (old_value, Condition.true()),
-                        ],
-                        validate=False,
-                    )
-                    rt.store.write(item, malformed)
-                rt.locks.release_all(txn)
-                self._durable_staged.pop(txn, None)
-                rt.direct_doubts.add(txn)
-                return
-            if fault == "keep-locks":
-                # BUG (intentional): install the polyvalues but leak the
-                # write locks (re-acquired under a phantom owner no code
-                # path ever releases) — the paper's availability claim
-                # (polyvalued items stay writable) is violated.
-                for item, new_value in staged.items():
-                    old_value = rt.store.read(item)
-                    rt.apply_write(
-                        item, Polyvalue.in_doubt(txn, new_value, old_value)
-                    )
-                rt.locks.release_all(txn)
-                for item in staged:
-                    rt.locks.try_acquire(f"fault:{txn}", item, LockMode.WRITE)
-                self._durable_staged.pop(txn, None)
-                rt.direct_doubts.add(txn)
-                return
-            raise ValueError(f"unknown wait_phase_fault {fault!r}")
         if staged and live:
             # Read-only participants have nothing at stake; only a
             # participant with staged updates experienced a real

@@ -30,7 +30,8 @@ equivalence but **effect conservation**: every declared delta of every
 committed fast-path transaction is applied exactly once, nowhere twice,
 and the system converges with no pending effects.  The classification
 itself is re-audited by the oracles (a misclassified path is a protocol
-bug, exercised by the ``misclassify-one`` mutation).
+bug; the harness plants one by overriding a site's ``_decompose``, the
+``path:misclassify-one`` mutant of :mod:`repro.check.mutants`).
 """
 
 from __future__ import annotations
@@ -167,21 +168,6 @@ def decompose(transaction: Transaction) -> Optional[Decomposition]:
     return Decomposition(deltas=dict(reference[1]), outputs=dict(reference[2]))
 
 
-def _decompose_unsound(transaction: Transaction) -> Optional[Decomposition]:
-    """BUG (intentional, mutation smoke only): a single-snapshot probe.
-
-    This is the classic pre-analysis mistake — profiling one path and
-    believing it.  Used by the ``misclassify-one`` fault to force a
-    genuinely path-sensitive transaction onto the fast path, so the
-    harness can prove the classification-audit oracle catches it.
-    """
-    items = tuple(sorted(transaction.items))
-    probe = _probe_once(transaction, _probe_snapshots(items)[0])
-    if probe is None:
-        return None
-    return Decomposition(deltas=dict(probe[1]), outputs=dict(probe[2]))
-
-
 # ----------------------------------------------------------------------
 # System-level routing registry (for clients, tests, and oracles)
 # ----------------------------------------------------------------------
@@ -206,11 +192,6 @@ class PathRegistry:
 
     def __init__(self) -> None:
         self.routed: Dict[TxnId, PathDecision] = {}
-        #: The transaction the ``misclassify-one`` fault forced onto the
-        #: fast path (bookkeeping so tests can assert the mutant fired).
-        self.forced: Optional[TxnId] = None
-        #: The effect the ``drop-remote-apply`` fault swallowed.
-        self.dropped: Optional[Tuple[TxnId, ItemId]] = None
 
     def decided(self, txn: TxnId) -> Optional[PathDecision]:
         return self.routed.get(txn)
@@ -249,6 +230,10 @@ class PathSensitiveSite(DatabaseSite):
     # Submit-time routing
     # ------------------------------------------------------------------
 
+    #: The order-invariance probe submit routes by (an attribute, so the
+    #: correctness harness can give one site an unsound probe).
+    _decompose = staticmethod(decompose)
+
     def _mint(self) -> TxnId:
         # Share the coordinator's sequence so fast-path and coordinated
         # transaction ids never collide.
@@ -263,15 +248,7 @@ class PathSensitiveSite(DatabaseSite):
             and classification.home_site == self.site_id
         ):
             return self._run_local(transaction, handle)
-        decomposition = decompose(transaction)
-        forced = False
-        if (
-            decomposition is None
-            and rt.config.path_fault == "misclassify-one"
-            and self.registry.forced is None
-        ):
-            decomposition = _decompose_unsound(transaction)
-            forced = decomposition is not None
+        decomposition = self._decompose(transaction)
         if decomposition is None:
             txn = super().submit(transaction, handle)
             self.registry.routed[txn] = PathDecision("coordinated", transaction)
@@ -284,7 +261,7 @@ class PathSensitiveSite(DatabaseSite):
                     kind="coordinated",
                 )
             return txn
-        return self._run_decomposable(transaction, handle, decomposition, forced)
+        return self._run_decomposable(transaction, handle, decomposition)
 
     def _run_local(
         self, transaction: Transaction, handle: TransactionHandle
@@ -336,7 +313,6 @@ class PathSensitiveSite(DatabaseSite):
         transaction: Transaction,
         handle: TransactionHandle,
         decomposition: Decomposition,
-        forced: bool,
     ) -> TxnId:
         """Commit now; ship commuting per-item effects asynchronously."""
         rt = self.runtime
@@ -352,29 +328,16 @@ class PathSensitiveSite(DatabaseSite):
                 txn=txn,
                 site=self.site_id,
                 kind="decomposable",
-                forced=forced,
             )
         self.registry.routed[txn] = PathDecision(
             "decomposable", transaction, deltas=dict(decomposition.deltas)
         )
-        if forced:
-            self.registry.forced = txn
         rt.report_committed(handle, decomposition.outputs)
         for item in sorted(decomposition.deltas):
             delta = decomposition.deltas[item]
             target = rt.catalog.site_of(item)
             if target == self.site_id:
                 self._apply_delta(txn, item, delta)
-                continue
-            if (
-                rt.config.path_fault == "drop-remote-apply"
-                and self.registry.dropped is None
-            ):
-                # BUG (intentional, mutation smoke only): the effect is
-                # silently swallowed — never sent, never retried.  The
-                # effect-conservation oracle must notice the claimed
-                # delta missing from every apply log.
-                self.registry.dropped = (txn, item)
                 continue
             self.pending_applies[(txn, item)] = (target, delta)
             rt.send(

@@ -515,14 +515,7 @@ class PaxosSite(DatabaseSite):
         if message.ballot < promised:
             return  # promised a higher ballot: silently reject
         self._promised[txn] = message.ballot
-        if rt.config.paxos_fault != "acceptor-no-persist":
-            self._accepted[(txn, message.instance)] = (
-                message.ballot,
-                message.vote,
-            )
-        # else: BUG (intentional, mutation smoke only) — acknowledge
-        # the vote without persisting it, so a failover leader can
-        # later contradict a fast-path decision.
+        self._accepted[(txn, message.instance)] = (message.ballot, message.vote)
         rt.send(
             message.leader,
             Phase2b(

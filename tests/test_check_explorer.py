@@ -113,7 +113,7 @@ class TestArtifacts:
     def test_violation_writes_artifact_and_replays(self, tmp_path):
         # Arm a known-bad mutant so a violation is guaranteed, then
         # prove the artifact replays to the identical violation set.
-        schedule = _armed(smoke_schedules()[0], "keep-locks")
+        schedule = _armed(smoke_schedules("keep-locks")[0], "keep-locks")
         result = run_schedule(schedule, artifact_dir=str(tmp_path))
         assert not result.ok
         assert result.artifact_path is not None

@@ -9,11 +9,8 @@ every one of them while staying silent on the unmutated baseline.
 
 import pytest
 
-from repro.check.mutation import (
-    PROTOCOL_FAULTS,
-    protocol_smoke_schedules,
-    run_protocol_mutation_smoke,
-)
+from repro.check.mutants import PROTOCOL_FAULTS
+from repro.check.mutation import run_mutation_smoke, smoke_schedules
 
 
 class TestCatalogue:
@@ -26,22 +23,22 @@ class TestCatalogue:
 
     @pytest.mark.parametrize("fault", sorted(PROTOCOL_FAULTS))
     def test_smoke_schedules_carry_the_protocol(self, fault):
-        schedules = protocol_smoke_schedules(fault)
+        schedules = smoke_schedules(fault)
         assert schedules
         expected = "paxos" if fault.startswith("paxos:") else "pathsensitive"
         assert all(s.protocol == expected for s in schedules)
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
-            protocol_smoke_schedules("paxos:no-such-fault")
+            smoke_schedules("paxos:no-such-fault")
         with pytest.raises(ValueError):
-            run_protocol_mutation_smoke(faults=("bogus",))
+            run_mutation_smoke(faults=("bogus",))
 
 
 class TestSmoke:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_protocol_mutation_smoke(seed=0)
+        return run_mutation_smoke(faults=PROTOCOL_FAULTS, seed=0)
 
     def test_baseline_clean(self, report):
         assert report.baseline_ok, [
