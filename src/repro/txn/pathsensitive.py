@@ -403,9 +403,9 @@ class PathSensitiveSite(DatabaseSite):
         if not self.runtime.up:
             return
         message = envelope.payload
+        if envelope.sender != self.site_id:
+            self._note_peer_alive(envelope.sender)
         if isinstance(message, LocalApply):
-            if envelope.sender != self.site_id:
-                self._note_peer_alive(envelope.sender)
             if self._apply_delta(message.txn, message.item, message.delta):
                 self.runtime.send(
                     message.origin,

@@ -479,6 +479,8 @@ class PaxosSite(DatabaseSite):
         if not self.runtime.up:
             return
         message = envelope.payload
+        if envelope.sender != self.site_id:
+            self._note_peer_alive(envelope.sender)
         # A PaxosStage is a StageRequest: the base dispatch routes it.
         if isinstance(message, Phase2a):
             self._accept_phase2a(message, envelope.sender)
@@ -489,8 +491,6 @@ class PaxosSite(DatabaseSite):
         elif isinstance(message, Phase1b):
             self._collect_phase1b(message)
         elif isinstance(message, PaxosDecision):
-            if envelope.sender != self.site_id:
-                self._note_peer_alive(envelope.sender)
             self._learn_outcome(message.txn, message.committed)
             if envelope.sender != self.site_id:
                 self.runtime.send(

@@ -15,8 +15,11 @@ import math
 
 import pytest
 
+from repro.net.message import Envelope
 from repro.txn import protocol
-from repro.txn.config import ProtocolConfig
+from repro.txn.config import ProtocolConfig, config_for_protocol
+from repro.txn.pathsensitive import LocalApplyAck
+from repro.txn.paxos import Phase1a, Phase1b, Phase2a, Phase2b
 from repro.txn.system import DistributedSystem
 from repro.txn.timeouts import RetryPolicy
 
@@ -27,8 +30,10 @@ OUTAGE = 60.0
 FLAT = RetryPolicy(backoff_factor=1.0, jitter=0.0, suppression_threshold=10**9)
 
 
-def build_pair(retry=None):
+def build_pair(retry=None, protocol_name=None):
     config = ProtocolConfig() if retry is None else ProtocolConfig(retry=retry)
+    if protocol_name is not None:
+        config = config_for_protocol(protocol_name, config)
     return DistributedSystem.build(
         sites=2,
         items={"item-0": 100, "item-1": 100},
@@ -148,6 +153,59 @@ class TestSuppression:
         assert site0._peer_strikes["site-1"] == 0
         assert state.attempts == 0
         base = policy.base(site0.runtime.config.outcome_query_interval)
+        assert state.next_at <= system.sim.now + base
+
+    @pytest.mark.parametrize(
+        "protocol_name, message",
+        [
+            ("paxos", Phase1a(txn="T7@site-1", ballot=5, proposer="site-1")),
+            ("paxos", Phase1b(txn="T7@site-1", ballot=5, acceptor="site-1")),
+            (
+                "paxos",
+                Phase2a(
+                    txn="T7@site-1", instance="site-1", ballot=0,
+                    vote="prepared", leader="site-1",
+                ),
+            ),
+            (
+                "paxos",
+                Phase2b(
+                    txn="T7@site-1", instance="site-1", ballot=0,
+                    vote="prepared", acceptor="site-1",
+                ),
+            ),
+            (
+                "pathsensitive",
+                LocalApplyAck(txn="T7@site-1", item="item-0", site="site-1"),
+            ),
+        ],
+        ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+    )
+    def test_every_inbound_message_type_rearms_the_peer(
+        self, protocol_name, message
+    ):
+        system = build_pair(protocol_name=protocol_name)
+        site0 = system.sites["site-0"]
+        txn = "T96@site-0"
+        site0._pending_notifies[(txn, "site-1")] = True
+        site0._outcome_maintenance()  # seeds retry state
+        state = site0._retry[(txn, "site-1")]
+        state.next_at = system.sim.now + 1000.0
+        state.attempts = 7
+        site0._peer_strikes["site-1"] = 5
+        site0.on_message(
+            Envelope(
+                sender="site-1",
+                recipient="site-0",
+                payload=message,
+                sent_at=system.sim.now,
+            )
+        )
+        assert site0._peer_strikes["site-1"] == 0
+        assert state.attempts == 0
+        base = site0.runtime.config.retry.base(
+            site0.runtime.config.outcome_query_interval
+        )
         assert state.next_at <= system.sim.now + base
 
     def test_retry_state_is_volatile_across_crash(self):
