@@ -13,7 +13,8 @@ shapes the codec must preserve through JSON's type flattening:
 * polyvalues — delegated to :mod:`repro.core.serialize`, the same
   ``{"__polyvalue__": 1, ...}`` encoding the snapshot layer uses.
 
-The message registry is explicit: an unknown type name on decode is a
+The message registry is the sites' own message tables: a type no site
+handles cannot be encoded, and an unknown type name on decode is a
 :class:`WireError`, not an import-by-name gadget.
 """
 
@@ -28,46 +29,21 @@ from repro.core.errors import ReproError
 from repro.core.polyvalue import is_polyvalue
 from repro.core.serialize import decode_value, encode_value
 from repro.net.message import Envelope
-from repro.txn import protocol
-from repro.txn.paxos import (
-    PaxosDecision,
-    PaxosStage,
-    Phase1a,
-    Phase1b,
-    Phase2a,
-    Phase2b,
-)
-from repro.txn.pathsensitive import LocalApply, LocalApplyAck
+from repro.txn.pathsensitive import PathSensitiveSite
+from repro.txn.paxos import PaxosSite
 
 
 class WireError(ReproError):
     """A frame could not be encoded or decoded."""
 
 
-#: Every message type that may cross the live wire, by class name.
-#: Order is presentation-only; lookups are exact-name.
+#: Every message type that may cross the live wire, by class name: the
+#: union of the site classes' message tables (the base vocabulary plus
+#: the Paxos Commit and path-sensitive additions).  Order is
+#: presentation-only; lookups are exact-name.
 MESSAGE_TYPES: Dict[str, Type] = {
     cls.__name__: cls
-    for cls in (
-        protocol.ReadRequest,
-        protocol.ReadReply,
-        protocol.StageRequest,
-        protocol.Ready,
-        protocol.Refuse,
-        protocol.Complete,
-        protocol.Abort,
-        protocol.OutcomeQuery,
-        protocol.OutcomeNotify,
-        protocol.OutcomeAck,
-        PaxosStage,
-        Phase1a,
-        Phase1b,
-        Phase2a,
-        Phase2b,
-        PaxosDecision,
-        LocalApply,
-        LocalApplyAck,
-    )
+    for cls in {**PaxosSite.HANDLERS, **PathSensitiveSite.HANDLERS}
 }
 
 _TUPLE_TAG = "__tuple__"

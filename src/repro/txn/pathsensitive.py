@@ -399,26 +399,28 @@ class PathSensitiveSite(DatabaseSite):
     # Message dispatch
     # ------------------------------------------------------------------
 
-    def on_message(self, envelope) -> None:
-        if not self.runtime.up:
-            return
-        message = envelope.payload
-        if envelope.sender != self.site_id:
-            self._note_peer_alive(envelope.sender)
-        if isinstance(message, LocalApply):
-            if self._apply_delta(message.txn, message.item, message.delta):
-                self.runtime.send(
-                    message.origin,
-                    LocalApplyAck(
-                        txn=message.txn, item=message.item, site=self.site_id
-                    ),
-                )
-            # else: queued — no ack yet; the origin keeps retrying and a
-            # later duplicate will be acknowledged once the queue drains.
-        elif isinstance(message, LocalApplyAck):
-            self.pending_applies.pop((message.txn, message.item), None)
-        else:
-            super().on_message(envelope)
+    #: The decomposed-effect messages on top of the base vocabulary.
+    HANDLERS = {
+        **DatabaseSite.HANDLERS,
+        LocalApply: "_on_local_apply",
+        LocalApplyAck: "_on_local_apply_ack",
+    }
+
+    def _on_local_apply(self, message: LocalApply, sender: SiteId) -> None:
+        if self._apply_delta(message.txn, message.item, message.delta):
+            self.runtime.send(
+                message.origin,
+                LocalApplyAck(
+                    txn=message.txn, item=message.item, site=self.site_id
+                ),
+            )
+        # else: queued — no ack yet; the origin keeps retrying and a
+        # later duplicate will be acknowledged once the queue drains.
+
+    def _on_local_apply_ack(
+        self, message: LocalApplyAck, sender: SiteId
+    ) -> None:
+        self.pending_applies.pop((message.txn, message.item), None)
 
     # ------------------------------------------------------------------
     # Maintenance / convergence / crash

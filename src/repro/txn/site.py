@@ -135,47 +135,79 @@ class DatabaseSite:
     # Message dispatch
     # ------------------------------------------------------------------
 
+    #: The message vocabulary: message class -> name of the method that
+    #: handles it, called as ``handler(message, sender)``.  Lookup is by
+    #: exact type, so a message subclass needs its own entry; a protocol
+    #: site extends the table with ``{**DatabaseSite.HANDLERS, ...}``.
+    #: Handlers are found by name on the instance, so an override (or a
+    #: mutant patched onto one site) is what runs.
+    HANDLERS: Dict[type, str] = {
+        protocol.ReadRequest: "_on_read_request",
+        protocol.ReadReply: "_on_read_reply",
+        protocol.StageRequest: "_on_stage_request",
+        protocol.Ready: "_on_ready",
+        protocol.Refuse: "_on_refuse",
+        protocol.Complete: "_on_complete",
+        protocol.Abort: "_on_abort",
+        protocol.OutcomeQuery: "_answer_outcome_query",
+        protocol.OutcomeNotify: "_on_outcome_notify",
+        protocol.OutcomeAck: "_on_outcome_ack",
+    }
+
     def on_message(self, envelope: Envelope) -> None:
-        """Handle one delivered protocol message."""
+        """Handle one delivered protocol message: the one dispatch body
+        of every site class.  Any message from a peer is liveness
+        evidence (:meth:`_note_peer_alive`)."""
         if not self.runtime.up:
             return  # the network normally drops these; belt and braces
-        if envelope.sender != self.site_id:
-            self._note_peer_alive(envelope.sender)
-        message = envelope.payload
-        if isinstance(message, protocol.ReadRequest):
-            self.participant.handle_read_request(message, envelope.sender)
-        elif isinstance(message, protocol.ReadReply):
-            self.coordinator.handle_read_reply(message)
-        elif isinstance(message, protocol.StageRequest):
-            self.participant.handle_stage_request(message, envelope.sender)
-        elif isinstance(message, protocol.Ready):
-            self.coordinator.handle_ready(message)
-        elif isinstance(message, protocol.Refuse):
-            self.coordinator.handle_refuse(message)
-        elif isinstance(message, protocol.Complete):
-            self.participant.handle_complete(message)
-            self._learn_outcome(message.txn, committed=True)
-            self.runtime.send(
-                envelope.sender,
-                protocol.OutcomeAck(txn=message.txn, site=self.site_id),
-            )
-        elif isinstance(message, protocol.Abort):
-            self.participant.handle_abort(message)
-            self._learn_outcome(message.txn, committed=False)
-        elif isinstance(message, protocol.OutcomeQuery):
-            self._answer_outcome_query(message)
-        elif isinstance(message, protocol.OutcomeNotify):
-            self._learn_outcome(message.txn, message.committed)
-            self.runtime.send(
-                message.origin,
-                protocol.OutcomeAck(txn=message.txn, site=self.site_id),
-            )
-        elif isinstance(message, protocol.OutcomeAck):
-            self.runtime.outcome_log.acknowledge(message.txn, message.site)
-            self._pending_notifies.pop((message.txn, message.site), None)
-            self._retry.pop((message.txn, message.site), None)
-        else:
+        message, sender = envelope.payload, envelope.sender
+        if sender != self.site_id:
+            self._note_peer_alive(sender)
+        name = self.HANDLERS.get(type(message))
+        if name is None:
             raise ProtocolError(f"unhandled message type: {message!r}")
+        getattr(self, name)(message, sender)
+
+    def _on_read_request(
+        self, message: protocol.ReadRequest, sender: SiteId
+    ) -> None:
+        self.participant.handle_read_request(message, sender)
+
+    def _on_read_reply(
+        self, message: protocol.ReadReply, sender: SiteId
+    ) -> None:
+        self.coordinator.handle_read_reply(message)
+
+    def _on_stage_request(
+        self, message: protocol.StageRequest, sender: SiteId
+    ) -> None:
+        self.participant.handle_stage_request(message, sender)
+
+    def _on_ready(self, message: protocol.Ready, sender: SiteId) -> None:
+        self.coordinator.handle_ready(message)
+
+    def _on_refuse(self, message: protocol.Refuse, sender: SiteId) -> None:
+        self.coordinator.handle_refuse(message)
+
+    def _on_complete(self, message: protocol.Complete, sender: SiteId) -> None:
+        self.participant.handle_complete(message)
+        self._learn_and_ack(message.txn, True, sender)
+
+    def _on_abort(self, message: protocol.Abort, sender: SiteId) -> None:
+        self.participant.handle_abort(message)
+        self._learn_outcome(message.txn, committed=False)
+
+    def _on_outcome_notify(
+        self, message: protocol.OutcomeNotify, sender: SiteId
+    ) -> None:
+        self._learn_and_ack(message.txn, message.committed, message.origin)
+
+    def _on_outcome_ack(
+        self, message: protocol.OutcomeAck, sender: SiteId
+    ) -> None:
+        self.runtime.outcome_log.acknowledge(message.txn, message.site)
+        self._pending_notifies.pop((message.txn, message.site), None)
+        self._retry.pop((message.txn, message.site), None)
 
     # ------------------------------------------------------------------
     # Outcome learning and propagation (section 3.3)
@@ -215,7 +247,14 @@ class DatabaseSite:
                 ),
             )
 
-    def _answer_outcome_query(self, message: protocol.OutcomeQuery) -> None:
+    def _learn_and_ack(self, txn: TxnId, committed: bool, to: SiteId) -> None:
+        """Learn *txn*'s outcome, then acknowledge it to *to*."""
+        self._learn_outcome(txn, committed)
+        self.runtime.send(to, protocol.OutcomeAck(txn=txn, site=self.site_id))
+
+    def _answer_outcome_query(
+        self, message: protocol.OutcomeQuery, sender: SiteId
+    ) -> None:
         """Answer "what happened to T?" as T's coordinator.
 
         Known commits come from the durable outcome log (or the local

@@ -33,6 +33,13 @@ class TestWireRoundtrip:
         assert "StageRequest" in MESSAGE_TYPES
         assert "Phase2b" in MESSAGE_TYPES
         assert len(MESSAGE_TYPES) == 18
+        assert set(MESSAGE_TYPES) == {
+            "ReadRequest", "ReadReply", "StageRequest", "Ready", "Refuse",
+            "Complete", "Abort", "OutcomeQuery", "OutcomeNotify",
+            "OutcomeAck", "PaxosStage", "Phase1a", "Phase1b", "Phase2a",
+            "Phase2b", "PaxosDecision", "LocalApply", "LocalApplyAck",
+        }
+        assert all(MESSAGE_TYPES[name].__name__ == name for name in MESSAGE_TYPES)
 
     @pytest.mark.parametrize(
         "message",

@@ -1,11 +1,28 @@
 """Unit tests for DatabaseSite message dispatch and edge cases
 (repro.txn.site)."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
+import repro.txn
 from repro.core.errors import ProtocolError
 from repro.net.message import Envelope
 from repro.txn import protocol
+from repro.txn.config import config_for_protocol
+from repro.txn.pathsensitive import LocalApply, LocalApplyAck, PathSensitiveSite
+from repro.txn.paxos import (
+    PaxosDecision,
+    PaxosSite,
+    PaxosStage,
+    Phase1a,
+    Phase1b,
+    Phase2a,
+    Phase2b,
+)
+from repro.txn.site import DatabaseSite
 from repro.txn.system import DistributedSystem
 from repro.txn.transaction import TxnStatus
 
@@ -173,3 +190,151 @@ class TestCrashedSiteIgnoresTraffic:
         # directly: the belt-and-braces guard must still ignore it.
         inject(system, "site-0", "site-1", protocol.Complete(txn="T9@site-0"))
         assert "T9@site-0" not in system.sites["site-1"].runtime.known_outcomes
+
+
+#: One stray message of every type any site handles, addressed from
+#: site-0 to site-1 about transactions nobody is running.
+SAMPLES = {
+    type(message): message
+    for message in (
+        protocol.ReadRequest(txn="T9@site-0", items=("b",)),
+        protocol.ReadReply(
+            txn="T9@site-1", site="site-0", ok=True, values={"a": 1}
+        ),
+        protocol.StageRequest(
+            txn="T9@site-0", coordinator="site-0", writes={"b": 5}
+        ),
+        protocol.Ready(txn="T9@site-1", site="site-0"),
+        protocol.Refuse(txn="T9@site-1", site="site-0", reason="lock"),
+        protocol.Complete(txn="T9@site-0"),
+        protocol.Abort(txn="T8@site-0"),
+        protocol.OutcomeQuery(txn="T7@site-1", requester="site-0"),
+        protocol.OutcomeNotify(txn="T6@site-0", committed=True, origin="site-0"),
+        protocol.OutcomeAck(txn="T5@site-1", site="site-0"),
+        PaxosStage(
+            txn="T4@site-0",
+            coordinator="site-0",
+            writes={"b": 5},
+            participants=("site-1",),
+            acceptors=("site-0", "site-1", "site-2"),
+            leader="site-0",
+        ),
+        Phase1a(txn="T3@site-0", ballot=3, proposer="site-0"),
+        Phase1b(txn="T3@site-1", ballot=4, acceptor="site-0"),
+        Phase2a(
+            txn="T2@site-0", instance="site-0", ballot=0,
+            vote="prepared", leader="site-0",
+        ),
+        Phase2b(
+            txn="T2@site-1", instance="site-0", ballot=0,
+            vote="prepared", acceptor="site-0",
+        ),
+        PaxosDecision(txn="T1@site-0", committed=False),
+        LocalApply(txn="T0@site-0", item="b", delta=2, origin="site-0"),
+        LocalApplyAck(txn="T0@site-1", item="a", site="site-0"),
+    )
+}
+
+SITE_CLASSES = {
+    "polyvalue": DatabaseSite,
+    "paxos": PaxosSite,
+    "pathsensitive": PathSensitiveSite,
+}
+
+
+def build_protocol(name):
+    system = DistributedSystem.build(
+        sites=3,
+        items={"a": 10, "b": 20, "c": 30},
+        seed=7,
+        jitter=0.0,
+        config=config_for_protocol(name),
+    )
+    assert type(system.sites["site-1"]) is SITE_CLASSES[name]
+    return system
+
+
+class TestMessageTable:
+    def test_samples_cover_every_table(self):
+        for cls in SITE_CLASSES.values():
+            assert set(cls.HANDLERS) <= set(SAMPLES)
+
+    @pytest.mark.parametrize("name", sorted(SITE_CLASSES))
+    def test_every_message_in_the_table_is_handled(self, name):
+        system = build_protocol(name)
+        for message_type in SITE_CLASSES[name].HANDLERS:
+            inject(system, "site-0", "site-1", SAMPLES[message_type])
+        system.run_for(2.0)
+
+    @pytest.mark.parametrize("name", sorted(SITE_CLASSES))
+    def test_a_type_outside_the_table_raises(self, name):
+        outside = set(SAMPLES) - set(SITE_CLASSES[name].HANDLERS)
+        assert outside
+        system = build_protocol(name)
+        for message_type in sorted(outside, key=lambda cls: cls.__name__):
+            with pytest.raises(ProtocolError, match="unhandled message type"):
+                inject(system, "site-0", "site-1", SAMPLES[message_type])
+
+    def test_lookup_is_by_exact_type(self):
+        # A PaxosStage is a StageRequest, but only a Paxos site stages it.
+        assert issubclass(PaxosStage, protocol.StageRequest)
+        assert PaxosStage not in DatabaseSite.HANDLERS
+        assert PaxosSite.HANDLERS[PaxosStage] == "_on_stage_request"
+
+    def test_handlers_are_found_by_name_on_the_instance(self):
+        system = build_protocol("paxos")
+        site = system.sites["site-1"]
+        seen = []
+        site._accept_phase2a = lambda message, sender: seen.append(sender)
+        inject(system, "site-0", "site-1", SAMPLES[Phase2a])
+        assert seen == ["site-0"]
+
+
+#: The site modules whose dispatch the message table replaced.
+SITE_MODULES = ("site", "paxos", "pathsensitive")
+
+
+def _resolve(module, node):
+    """The object an ``isinstance`` class argument names, or None."""
+    if isinstance(node, ast.Name):
+        return getattr(module, node.id, None)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(module, node.value)
+        return getattr(owner, node.attr, None) if owner is not None else None
+    return None
+
+
+class TestOneDispatchBody:
+    def test_no_isinstance_on_a_message_class(self):
+        offenders = []
+        for name in SITE_MODULES:
+            module = importlib.import_module(f"repro.txn.{name}")
+            tree = ast.parse(Path(module.__file__).read_text())
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                ):
+                    continue
+                spec = node.args[1]
+                classes = spec.elts if isinstance(spec, ast.Tuple) else [spec]
+                for cls_node in classes:
+                    cls = _resolve(module, cls_node)
+                    if isinstance(cls, type) and issubclass(
+                        cls, protocol.ProtocolMessage
+                    ):
+                        offenders.append(f"{name}.py:{node.lineno}")
+        assert offenders == []
+
+    def test_exactly_one_on_message_body(self):
+        root = Path(repro.txn.__file__).parent
+        bodies = [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "on_message"
+        ]
+        assert bodies == ["site.py"]
