@@ -1,8 +1,10 @@
 """Guard: the hot-path performance layer actually pays for itself.
 
-The perf layer has three tiers — interned/memoized condition algebra,
-sim/net fast paths (quiescence as a counter, polyvalue fast paths), and
-the ``python -m repro bench`` measurement harness.
+The perf layer has two tiers — sim/net fast paths (quiescence as a
+counter, the polyvalue reduce short-circuit) and the ``python -m repro
+bench`` measurement harness.  The condition algebra has no fast-path
+layer to guard: a condition is an exact truth table, and
+``tests/test_work_per_commit.py`` gates the work per commit instead.
 These benchmarks pin the *machine-relative* contracts: the optimised
 path must beat the same workload with the optimisation disabled in
 this very process.  Absolute ops/s belong in ``BENCH_perf.json``, not
@@ -16,58 +18,11 @@ import time
 import pytest
 
 from repro import bench
-from repro.core import conditions
 from repro.core.conditions import Condition
 from repro.core.polyvalue import Polyvalue
 from repro.txn.system import DistributedSystem
 
-# Short budgets keep the default run snappy; the ratios they produce
-# are noisier than full mode but far above the asserted floors.
-QUICK = 0.05
-
-
-class TestConditionAlgebraSpeedups:
-    def test_memoized_algebra_at_least_2x_uncached(self):
-        # The PR's headline acceptance criterion, measured in-process:
-        # identical workload, caches on vs configure_caches(0).
-        speedup = bench.bench_condition_cache_speedup(min_time=QUICK)
-        assert speedup >= 2.0, (
-            f"condition memoization only {speedup:.2f}x over uncached — "
-            "the hot-path layer lost its reason to exist"
-        )
-
-    def test_interning_makes_equality_identity(self):
-        a = (Condition.of("T1") & Condition.not_of("T2")) | Condition.of("T3")
-        b = (Condition.of("T1") & Condition.not_of("T2")) | Condition.of("T3")
-        assert a is b
-
-    def test_cache_disable_is_observationally_silent(self):
-        with_caches = bench.bench_condition_ops(min_time=QUICK)
-        conditions.configure_caches(0)
-        try:
-            without = bench.bench_condition_ops(min_time=QUICK)
-        finally:
-            conditions.configure_caches()
-        # Both arms must complete and report sane throughput; the ratio
-        # itself is asserted above.
-        assert with_caches > 0 and without > 0
-
-
 class TestPolyvalueFastPaths:
-    def test_in_doubt_fast_path_beats_validating_constructor(self):
-        speedup = bench.bench_polyvalue_fastpath_speedup(min_time=QUICK)
-        assert speedup >= 1.2, (
-            f"in_doubt fast path only {speedup:.2f}x over the validating "
-            "constructor"
-        )
-
-    def test_fast_path_and_validating_path_agree(self):
-        fast = Polyvalue.in_doubt("T9", 7, 9)
-        slow = Polyvalue(
-            [(7, Condition.of("T9")), (9, Condition.not_of("T9"))]
-        ).collapse()
-        assert fast.pairs == slow.pairs
-
     def test_reduce_identity_short_circuit_returns_self(self):
         pv = Polyvalue(
             [(100, Condition.of("T1")), (150, Condition.not_of("T1"))]
@@ -152,8 +107,6 @@ class TestBenchHarness:
             "campaign_jobs1_per_s",
         }
         assert set(report["guards"]) >= {
-            "condition_cache_speedup",
-            "polyvalue_fastpath_speedup",
             "adaptive_spurious_reduction",
             "outage_detection_parity",
             "retransmission_reduction",
@@ -167,23 +120,23 @@ class TestBenchHarness:
         report = {
             "results": {"explorer_ok": True},
             "guards": {
-                "condition_cache_speedup": 1.0,
-                "polyvalue_fastpath_speedup": 2.0,
+                "adaptive_spurious_reduction": 1.0,
+                "retransmission_reduction": 6.0,
             },
         }
         baseline = {
             "guards": {
-                "condition_cache_speedup": 10.0,
-                "polyvalue_fastpath_speedup": 2.0,
+                "adaptive_spurious_reduction": 6.0,
+                "retransmission_reduction": 6.0,
             }
         }
         failures = bench.check_regression(report, baseline)
         assert len(failures) == 1
-        assert "condition_cache_speedup" in failures[0]
+        assert "adaptive_spurious_reduction" in failures[0]
 
     def test_check_regression_flags_missing_guard_and_oracle_failure(self):
         report = {"results": {"explorer_ok": False}, "guards": {}}
-        baseline = {"guards": {"condition_cache_speedup": 10.0}}
+        baseline = {"guards": {"adaptive_spurious_reduction": 6.0}}
         failures = bench.check_regression(report, baseline)
         assert any("missing" in failure for failure in failures)
         assert any("oracle" in failure for failure in failures)

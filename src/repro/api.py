@@ -14,9 +14,9 @@ The surface, by layer:
   (:func:`combine`, :func:`definitely`, :func:`possibly`,
   :func:`certain`), polytransaction execution
   (:func:`execute_polytransaction`), and :func:`parse_condition`.
-* **Performance knobs** — :func:`configure_caches`,
-  :func:`clear_caches`, :func:`cache_info` over the condition-algebra
-  memoization described in ``docs/performance.md``.
+* **Retired cache hooks** — :func:`cache_info` (always ``{}``) and
+  :func:`clear_caches` (a no-op) outlive the condition-algebra caches
+  for callers written against them; ``docs/performance.md``.
 * **Simulation** (section 4) — :class:`Simulator`, :class:`Network`,
   :class:`DistributedSystem` and the policy constructors
   (:func:`polyvalue_system`, :func:`blocking_system`,
@@ -70,6 +70,8 @@ Example
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 # Mechanism: conditions and polyvalues (paper section 3).
 from repro.core.conditions import (
     FALSE,
@@ -77,13 +79,9 @@ from repro.core.conditions import (
     Condition,
     Literal,
     TxnId,
-    cache_info,
-    clear_caches,
     conditions_are_complete,
     conditions_are_complete_and_disjoint,
     conditions_are_disjoint,
-    configure_caches,
-    intern_literal,
 )
 from repro.core.errors import (
     ConditionError,
@@ -231,6 +229,20 @@ from repro.parallel import (
     trial_seeds,
 )
 
+
+def cache_info() -> Dict[str, Any]:
+    """Statistics of the condition-algebra caches: there are none.
+
+    Conditions are exact truth tables and need no memoization, so this
+    is always ``{}``; it stays for callers that report cache hit rates.
+    """
+    return {}
+
+
+def clear_caches() -> None:
+    """Drop memoized condition-algebra results: there are none to drop."""
+
+
 __all__ = [
     "AsyncioRuntime",
     "CampaignMetrics",
@@ -321,7 +333,6 @@ __all__ = [
     "conditions_are_complete_and_disjoint",
     "conditions_are_disjoint",
     "config_for_protocol",
-    "configure_caches",
     "decode_envelope",
     "decode_message",
     "decode_state",
@@ -338,7 +349,6 @@ __all__ = [
     "explore",
     "failed",
     "fault_matrix",
-    "intern_literal",
     "is_polyvalue",
     "minimize",
     "parse_condition",

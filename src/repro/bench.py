@@ -5,29 +5,19 @@ allows"; this module gives every PR a measured trajectory to move.  It
 times the four hot paths the performance layer optimises:
 
 * **condition ops** — the ``&``/``|``/``~``/``substitute`` algebra of
-  :mod:`repro.core.conditions` (interned + memoized);
+  :mod:`repro.core.conditions` (truth tables over a tiny support);
 * **polyvalue reads** — :func:`~repro.core.polyvalue.combine`,
   :meth:`~repro.core.polyvalue.Polyvalue.reduce` and
-  :meth:`~repro.core.polyvalue.Polyvalue.in_doubt` (single-pair fast
-  paths);
+  :meth:`~repro.core.polyvalue.Polyvalue.in_doubt`;
 * **explorer throughput** — schedules/second of the correctness
   harness's deterministic explorer (indexed event heap);
 * **Table-2 wall time** — the end-to-end Monte-Carlo simulation of the
   paper's section 4.2.
 
 Besides raw ops/s — which vary with the machine — the report includes
-two *machine-relative guards*, each the ratio of the optimised path to
-the same workload with the optimisation disabled in-process:
-
-* ``condition_cache_speedup`` — condition ops with the memoization
-  caches configured normally vs :func:`configure_caches(0) <repro.core.\
-conditions.configure_caches>`;
-* ``polyvalue_fastpath_speedup`` — ``Polyvalue.in_doubt`` (which skips
-  truth-table validation for two simple values) vs the full validating
-  constructor on the same inputs.
-
-The resilience layer adds three more machine-relative guards (see
-:func:`bench_resilience` and ``docs/faults.md``):
+*guards* that transfer across machines.  The resilience layer adds
+three machine-relative ratios (see :func:`bench_resilience` and
+``docs/faults.md``):
 
 * ``adaptive_spurious_reduction`` — spurious wait-timeout polyvalue
   installs under the reference gray campaign, fixed / resilient;
@@ -52,7 +42,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.core import conditions
 from repro.core.conditions import Condition
 from repro.core.polyvalue import Polyvalue, combine
 from repro.parallel.artifacts import write_json
@@ -120,51 +109,19 @@ def _polyvalue_reads() -> None:
         Polyvalue.in_doubt("T3", 7, 9)
 
 
-def _in_doubt_fast() -> None:
-    for _ in range(10):
-        Polyvalue.in_doubt("T2", 7, 9)
-
-
-def _in_doubt_validating() -> None:
-    # What ``in_doubt`` computes without its fast path: the validating
-    # constructor (truth-table completeness/disjointness) plus collapse.
-    for _ in range(10):
-        Polyvalue(
-            [(7, Condition.of("T2")), (9, Condition.not_of("T2"))]
-        ).collapse()
-
-
 # ----------------------------------------------------------------------
 # Benchmark suite
 # ----------------------------------------------------------------------
 
 
 def bench_condition_ops(min_time: float = FULL_MIN_TIME) -> float:
-    """Condition-algebra ops/s with the caches as currently configured."""
+    """Condition-algebra ops/s."""
     return _ops_per_second(_condition_ops, min_time)
 
 
 def bench_polyvalue_reads(min_time: float = FULL_MIN_TIME) -> float:
     """Polyvalue read-path ops/s."""
     return _ops_per_second(_polyvalue_reads, min_time)
-
-
-def bench_condition_cache_speedup(min_time: float = FULL_MIN_TIME) -> float:
-    """Cached vs uncached condition ops on this machine (ratio > 1)."""
-    cached = _ops_per_second(_condition_ops, min_time)
-    conditions.configure_caches(0)
-    try:
-        uncached = _ops_per_second(_condition_ops, min_time)
-    finally:
-        conditions.configure_caches()
-    return cached / uncached
-
-
-def bench_polyvalue_fastpath_speedup(min_time: float = FULL_MIN_TIME) -> float:
-    """``in_doubt`` fast path vs the full validating constructor."""
-    fast = _ops_per_second(_in_doubt_fast, min_time)
-    slow = _ops_per_second(_in_doubt_validating, min_time)
-    return fast / slow
 
 
 def bench_explorer(
@@ -584,15 +541,7 @@ def run_benchmarks(
     results.update(resilience["results"])
     results.update(frontier["results"])
     results.update(scaling["results"])
-    guards = {
-        "condition_cache_speedup": round(
-            bench_condition_cache_speedup(min_time), 2
-        ),
-        "polyvalue_fastpath_speedup": round(
-            bench_polyvalue_fastpath_speedup(min_time), 2
-        ),
-    }
-    guards.update(resilience["guards"])
+    guards: Dict[str, Any] = dict(resilience["guards"])
     guards.update(frontier["guards"])
     guards.update(scaling["guards"])
     return {
@@ -684,8 +633,6 @@ def render_report(report: Dict[str, Any]) -> str:
         f"  ({results['explorer_schedules']} schedules, "
         f"ok={results['explorer_ok']})",
         f"  table2 wall:        {results['table2_wall_s']:>12.3f}s",
-        f"  cache speedup:      {guards['condition_cache_speedup']:>12.2f}x",
-        f"  fast-path speedup:  {guards['polyvalue_fastpath_speedup']:>12.2f}x",
     ]
     if "adaptive_spurious_reduction" in guards:
         lines += [

@@ -3,41 +3,33 @@
 Section 3 of the paper defines a polyvalue as a set of ``<value,
 condition>`` pairs where each *condition* is a predicate whose variables
 stand for transactions ("transaction identifiers").  The paper requires
-conditions to be manipulated in *sum-of-products* form (section 3.1,
-simplification rule 3), and it requires the set of conditions within one
-polyvalue to be *complete* (one predicate is true under any assignment of
-outcomes) and *disjoint* (only one is).
+the set of conditions within one polyvalue to be *complete* (one
+predicate is true under any assignment of outcomes) and *disjoint*
+(only one is), and it substitutes known outcomes into them during
+recovery (section 3.3).
 
-This module implements that algebra:
+A :class:`Condition` is a truth table over its *support*: the sorted
+tuple of the ``k`` transactions it depends on, plus an integer *mask*
+of ``2**k`` bits.  Bit ``i`` of the mask is the condition's value under
+the assignment in which ``support[j]`` committed iff bit ``j`` of ``i``
+is set.  A transaction the function does not depend on is always
+dropped from the support, so the representation is canonical: ``==``
+and ``hash`` are exact equivalence, and ``is_true()``, ``is_false()``
+and ``variables()`` are exact by construction.
 
-* :class:`Literal` — a transaction identifier or its negation
-  ("T committed" / "T aborted").
-* a *product* — a conjunction of literals, represented as a
-  ``frozenset`` of :class:`Literal`.
-* :class:`Condition` — a disjunction of products (sum-of-products),
-  represented as a ``frozenset`` of products.
+``&``, ``|`` and ``~`` align the two supports and combine the masks
+with integer bit operations; :meth:`Condition.substitute` is a
+cofactor; completeness and disjointness of a polyvalue's conditions
+are a running OR and an overlap test over masks aligned to the union
+support.  The paper's sum-of-products form (section 3.1, rule 3) lives
+only at the edges: :class:`Condition` is still built from products
+(by the parser, the decoder and the tests), and
+:attr:`Condition.products` and ``str`` are the minimal cover that
+:func:`repro.core.minimize.cover` computes from the mask.
 
-Conditions are immutable and hashable; all operations return new
-conditions.  Simplification (contradiction removal, absorption and
-single-variable resolution) is applied automatically by the constructors,
-so conditions are kept in a compact canonical-ish form.  Exact
-equivalence, completeness and disjointness are decided by truth-table
-enumeration over the (always small in practice) set of mentioned
-transactions.
-
-Performance
------------
-Conditions are *hash-consed*: the constructor interns every simplified
-product set, so two structurally equal conditions are the same object,
-hashes are precomputed, and ``variables()``/``is_true()``/``is_false()``
-are O(1) field reads.  The algebra operators (``&``, ``|``, ``~``),
-:meth:`Condition.substitute` and the simplifier itself are memoized in
-bounded LRU caches keyed on interned identities — the protocol re-derives
-the same handful of conditions constantly, so the hit rate in practice is
-very high.  The caches are observationally transparent (property-tested
-in ``tests/test_conditions_properties.py``); size them with
-:func:`configure_caches`, inspect them with :func:`cache_info`, and drop
-them with :func:`clear_caches`.  See ``docs/performance.md``.
+The paper's section 4 argues that only a few transactions are in doubt
+at once, so supports stay tiny; :data:`MAX_TRUTH_TABLE_VARIABLES`
+refuses to build a condition over more.
 
 Example
 -------
@@ -54,39 +46,29 @@ True
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
-    Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from repro.core.errors import ConditionError
+from repro.core.minimize import cover
 
 #: Transaction identifiers are plain strings (e.g. ``"T17"``).
 TxnId = str
 
-#: The largest number of distinct transaction identifiers for which the
-#: truth-table decision procedures will run.  Beyond this the table has
-#: more than 2**20 rows and the caller is almost certainly misusing the
-#: mechanism (the paper's whole point is that very few transactions are
-#: in doubt at once).
+#: The largest support a condition may have.  Beyond this the truth
+#: table has more than 2**20 rows and the caller is almost certainly
+#: misusing the mechanism (the paper's whole point is that very few
+#: transactions are in doubt at once).
 MAX_TRUTH_TABLE_VARIABLES = 20
-
-#: Default bound for each memoized-operation LRU cache (simplify, the
-#: binary operators, negation, substitution, literal/product interning).
-#: Interned :class:`Condition` objects themselves live in a weak-value
-#: table, so the strong LRU entries are what actually pins memory.
-DEFAULT_CACHE_SIZE = 16384
 
 
 @dataclass(frozen=True, order=True)
@@ -124,133 +106,45 @@ class Literal:
 
 
 Product = FrozenSet[Literal]
-
-
-def intern_literal(txn: TxnId, positive: bool = True) -> Literal:
-    """A shared :class:`Literal` instance for ``(txn, positive)``.
-
-    Plain ``Literal(...)`` construction remains valid everywhere
-    (equality is structural); routing hot-path construction through the
-    intern table avoids re-allocating the same handful of literals the
-    protocol mentions over and over.
-    """
-    return _literal_cached(txn, bool(positive))
-
-
-def _product_is_contradictory(product: Product) -> bool:
-    """True if the product contains both ``T`` and ``~T`` for some T."""
-    seen: Dict[TxnId, bool] = {}
-    for literal in product:
-        previous = seen.get(literal.txn)
-        if previous is not None and previous != literal.positive:
-            return True
-        seen[literal.txn] = literal.positive
-    return False
-
-
-def _absorb(products: Set[Product]) -> Set[Product]:
-    """Remove products subsumed by a more general (smaller) product.
-
-    In sum-of-products form, ``p + p·q = p``: any product that is a
-    strict superset of another contributes nothing to the disjunction.
-    """
-    kept: Set[Product] = set()
-    for product in sorted(products, key=len):
-        if not any(other <= product for other in kept):
-            kept.add(product)
-    return kept
-
-
-def _resolve_once(products: Set[Product]) -> Optional[Set[Product]]:
-    """Apply one step of single-variable resolution, if possible.
-
-    Merges two products that differ only in one complemented literal:
-    ``p·T + p·~T = p``.  Returns the new product set, or ``None`` when
-    no merge applies.  Combined with absorption and iterated to a fixed
-    point this collapses ``{T} + {~T}`` to *true*, which is exactly what
-    failure recovery needs when substituting outcomes (section 3.3).
-    """
-    product_list = sorted(products, key=lambda p: (len(p), sorted(map(str, p))))
-    for i, first in enumerate(product_list):
-        for second in product_list[i + 1 :]:
-            if len(first) != len(second):
-                continue
-            difference = first ^ second
-            if len(difference) != 2:
-                continue
-            lit_a, lit_b = difference
-            if lit_a.txn == lit_b.txn and lit_a.positive != lit_b.positive:
-                merged = first & second
-                reduced = set(products)
-                reduced.discard(first)
-                reduced.discard(second)
-                reduced.add(merged)
-                return reduced
-    return None
-
-
-def _simplify_products(products: FrozenSet[Product]) -> FrozenSet[Product]:
-    """Canonicalise a sum of products.
-
-    Drops contradictory products (rule 3 of section 3.1), then applies
-    absorption and single-variable resolution to a fixed point.  The
-    result is not a guaranteed-minimal form (that would be Quine-
-    McCluskey), but it is small, deterministic and — crucially for the
-    mechanism — reduces to the canonical ``TRUE``/``FALSE`` forms when
-    the sum is a tautology over one variable or is unsatisfiable.
-
-    Callers go through the memoized ``_simplify_cached`` wrapper; the
-    returned products are interned so equal products across conditions
-    share one frozenset (and its cached hash).
-    """
-    current: Set[Product] = {p for p in products if not _product_is_contradictory(p)}
-    while True:
-        current = _absorb(current)
-        resolved = _resolve_once(current)
-        if resolved is None:
-            return frozenset(_intern_product(p) for p in current)
-        current = resolved
+Support = Tuple[TxnId, ...]
 
 
 class Condition:
-    """An immutable predicate over transaction outcomes, in sum-of-products form.
+    """An immutable predicate over transaction outcomes: a truth table.
 
-    A condition is a disjunction of *products*; each product is a
-    conjunction of :class:`Literal`.  The canonical *true* condition is
-    the disjunction containing the empty product; the canonical *false*
-    condition is the empty disjunction.
+    Construct one from a sum of products — an iterable of products,
+    each an iterable of :class:`Literal` — or with :meth:`of`,
+    :meth:`not_of`, :meth:`all_of` and friends.  The empty sum is
+    *false*; the sum holding the empty product is *true*.
 
-    Conditions support ``&`` (and), ``|`` (or), ``~`` (not), equality
-    (structural, after simplification), :meth:`equivalent` (semantic),
-    and hashing, so they can be used as dict keys and set members.
-
-    Instances are hash-consed: the constructor simplifies, then interns,
-    so structurally equal conditions are one shared, immutable object
-    with a precomputed hash and variable set.
+    Conditions support ``&`` (and), ``|`` (or), ``~`` (not), exact
+    equality and hashing, so they can be used as dict keys and set
+    members.
     """
 
-    __slots__ = ("_products", "_hash", "_variables", "_truth", "_str", "__weakref__")
-
-    def __new__(cls, products: Iterable[Iterable[Literal]] = ()) -> "Condition":
-        key = frozenset(
-            product if type(product) is frozenset else frozenset(product)
-            for product in products
-        )
-        return _intern(_simplify_cached(key))
+    __slots__ = ("_support", "_mask", "_products", "_str")
 
     def __init__(self, products: Iterable[Iterable[Literal]] = ()) -> None:
-        # All state is attached by ``_intern`` in ``__new__``; this
-        # only exists so the ``Condition(products)`` call signature
-        # remains the ordinary constructor.
-        pass
+        products = [tuple(product) for product in products]
+        support = tuple(sorted({literal.txn for p in products for literal in p}))
+        _check_variable_count(support)
+        masks = {txn: _variable(j, len(support)) for j, txn in enumerate(support)}
+        table = 0
+        for product in products:
+            term = _full(len(support))
+            for literal in product:
+                if literal.positive:
+                    term &= masks[literal.txn]
+                else:
+                    term &= ~masks[literal.txn]
+            table |= term
+        reduced = _reduced(support, table)
+        self._support = reduced._support
+        self._mask = reduced._mask
+        self._products = self._str = None
 
     def __reduce__(self):
-        # Pickle/copy must round-trip through the interning constructor
-        # so deserialisation can never corrupt a shared instance.
-        return (
-            Condition,
-            (tuple(tuple(sorted(product)) for product in self._products),),
-        )
+        return (_new, (self._support, self._mask))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -259,37 +153,37 @@ class Condition:
     @staticmethod
     def true() -> "Condition":
         """The condition that always holds."""
-        return Condition([frozenset()])
+        return TRUE
 
     @staticmethod
     def false() -> "Condition":
         """The condition that never holds."""
-        return Condition([])
+        return FALSE
 
     @staticmethod
     def of(txn: TxnId) -> "Condition":
         """The condition "transaction *txn* completed"."""
-        return Condition([[intern_literal(txn, True)]])
+        return _new((txn,), 0b10)
 
     @staticmethod
     def not_of(txn: TxnId) -> "Condition":
         """The condition "transaction *txn* aborted"."""
-        return Condition([[intern_literal(txn, False)]])
+        return _new((txn,), 0b01)
 
     @staticmethod
     def literal(txn: TxnId, positive: bool) -> "Condition":
         """The single-literal condition for *txn* with the given polarity."""
-        return Condition([[intern_literal(txn, positive)]])
+        return _new((txn,), 0b10 if positive else 0b01)
 
     @staticmethod
     def all_of(*txns: TxnId) -> "Condition":
         """The conjunction "every one of *txns* completed"."""
-        return Condition([[intern_literal(t, True) for t in txns]])
+        return Condition([[Literal(t) for t in txns]])
 
     @staticmethod
     def any_of(*txns: TxnId) -> "Condition":
         """The disjunction "at least one of *txns* completed"."""
-        return Condition([[intern_literal(t, True)] for t in txns])
+        return Condition([[Literal(t)] for t in txns])
 
     # ------------------------------------------------------------------
     # Structure
@@ -297,25 +191,35 @@ class Condition:
 
     @property
     def products(self) -> FrozenSet[Product]:
-        """The simplified set of products (conjunctions) of this condition."""
-        return self._products
+        """A minimal sum of products for this condition.
+
+        *true* is the set holding the empty product; *false* is empty.
+        """
+        products = self._products
+        if products is None:
+            support = self._support
+            products = frozenset(
+                frozenset(
+                    Literal(txn, bool(values >> j & 1))
+                    for j, txn in enumerate(support)
+                    if care >> j & 1
+                )
+                for values, care in cover(self._mask, len(support))
+            )
+            self._products = products
+        return products
 
     def variables(self) -> FrozenSet[TxnId]:
-        """The set of transaction identifiers this condition mentions."""
-        return self._variables
+        """The transactions whose outcome this condition depends on."""
+        return frozenset(self._support)
 
     def is_true(self) -> bool:
-        """True iff this condition is the canonical *true* form.
-
-        Because the constructor simplifies, any single-variable tautology
-        (``T | ~T``) reaches this form; for a semantic check on arbitrary
-        conditions use :meth:`is_tautology`.
-        """
-        return self._truth is True
+        """True iff this condition holds under every outcome assignment."""
+        return self._mask == 1 and not self._support
 
     def is_false(self) -> bool:
-        """True iff this condition is the canonical *false* form (empty sum)."""
-        return self._truth is False
+        """True iff no outcome assignment makes this condition hold."""
+        return self._mask == 0
 
     # ------------------------------------------------------------------
     # Algebra
@@ -324,39 +228,31 @@ class Condition:
     def __and__(self, other: "Condition") -> "Condition":
         if not isinstance(other, Condition):
             return NotImplemented
-        # Identity shortcuts agree with what simplification would
-        # produce, because both operands are already canonical.
-        if self._truth is True:
-            return other
-        if other._truth is True:
-            return self
-        if self._truth is False or other._truth is False:
-            return FALSE
-        return _and_cached(self, other)
+        if not self._support:
+            return other if self._mask else self
+        if not other._support:
+            return self if other._mask else other
+        return _apply(self, other, int.__and__)
 
     def __or__(self, other: "Condition") -> "Condition":
         if not isinstance(other, Condition):
             return NotImplemented
-        if self._truth is False:
-            return other
-        if other._truth is False:
-            return self
-        if self._truth is True or other._truth is True:
-            return TRUE
-        return _or_cached(self, other)
+        if not self._support:
+            return self if self._mask else other
+        if not other._support:
+            return other if other._mask else self
+        return _apply(self, other, int.__or__)
 
     def __invert__(self) -> "Condition":
-        return _invert_cached(self)
+        return _new(self._support, self._mask ^ _full(len(self._support)))
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Condition):
             return NotImplemented
-        return self._products == other._products
+        return self._mask == other._mask and self._support == other._support
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._support, self._mask))
 
     # ------------------------------------------------------------------
     # Semantics
@@ -369,72 +265,63 @@ class Condition:
         (completed) or ``False`` (aborted).  Every variable of the
         condition must be present.
         """
-        return any(
-            all(literal.satisfied_by(assignment) for literal in product)
-            for product in self._products
-        )
+        row = 0
+        for j, txn in enumerate(self._support):
+            if txn not in assignment:
+                raise ConditionError(
+                    f"assignment does not give an outcome for transaction {txn!r}"
+                )
+            if assignment[txn]:
+                row |= 1 << j
+        return bool(self._mask >> row & 1)
 
     def substitute(self, outcomes: Mapping[TxnId, bool]) -> "Condition":
-        """Replace known transaction outcomes with constants and simplify.
+        """Replace known transaction outcomes with constants.
 
         This is the reduction step of failure recovery (section 3.3):
         "the value of the transaction identifier for such a transaction
-        can be replaced by true or false in the predicates".  Literals
-        satisfied by *outcomes* are dropped from their products; products
-        containing a falsified literal are dropped entirely.
-
-        Memoized on the outcomes *restricted to this condition's own
-        variables* — outcomes for transactions the condition never
-        mentions cannot affect the result, so they never pollute the
-        cache key (and interning can never leak across TxnId spaces).
+        can be replaced by true or false in the predicates".  Each known
+        transaction of the support is cofactored away; *outcomes* is
+        only probed for those, never iterated.
         """
-        relevant = [txn for txn in self._variables if txn in outcomes]
-        if not relevant:
+        support = self._support
+        known = [j for j, txn in enumerate(support) if txn in outcomes]
+        if not known:
             return self
-        key = tuple(sorted((txn, bool(outcomes[txn])) for txn in relevant))
-        return _substitute_cached(self, key)
+        table, k = self._mask, len(support)
+        for j in reversed(known):
+            half = 1 << j
+            column = _variable(j, k)
+            if outcomes[support[j]]:
+                table = (table & column) >> half
+            else:
+                table &= ~column
+            table = _drop(table, j, k)
+            k -= 1
+        rest = tuple(txn for txn in support if txn not in outcomes)
+        return _reduced(rest, table)
 
     def is_satisfiable(self) -> bool:
-        """True iff some outcome assignment makes this condition hold.
-
-        In sum-of-products form with contradictions already removed by
-        the constructor, satisfiability is simply non-emptiness.
-        """
-        return self._truth is not False
+        """True iff some outcome assignment makes this condition hold."""
+        return self._mask != 0
 
     def is_tautology(self) -> bool:
-        """True iff every outcome assignment makes this condition hold.
-
-        Decided by truth-table enumeration over :meth:`variables`.
-        """
-        variables = sorted(self.variables())
-        _check_variable_count(variables)
-        return all(
-            self.evaluate(assignment)
-            for assignment in _assignments(variables)
-        )
+        """True iff every outcome assignment makes this condition hold."""
+        return self.is_true()
 
     def equivalent(self, other: "Condition") -> bool:
         """Semantic equivalence (agree on every outcome assignment)."""
-        variables = sorted(self.variables() | other.variables())
-        _check_variable_count(variables)
-        return all(
-            self.evaluate(a) == other.evaluate(a) for a in _assignments(variables)
-        )
+        return self == other
 
     def implies(self, other: "Condition") -> bool:
         """True iff every assignment satisfying ``self`` satisfies *other*."""
-        variables = sorted(self.variables() | other.variables())
-        _check_variable_count(variables)
-        return all(
-            other.evaluate(a)
-            for a in _assignments(variables)
-            if self.evaluate(a)
-        )
+        _, (mine, theirs) = _aligned((self, other))
+        return not mine & ~theirs
 
     def disjoint_with(self, other: "Condition") -> bool:
         """True iff no assignment satisfies both conditions."""
-        return (self & other).is_false()
+        _, (mine, theirs) = _aligned((self, other))
+        return not mine & theirs
 
     # ------------------------------------------------------------------
     # Presentation
@@ -442,35 +329,140 @@ class Condition:
 
     def __str__(self) -> str:
         rendered = self._str
-        if rendered is not None:
-            return rendered
-        if self._truth is True:
-            rendered = "TRUE"
-        elif self._truth is False:
-            rendered = "FALSE"
-        else:
-            rendered_products = []
-            for product in sorted(
-                self._products, key=lambda p: sorted(str(l) for l in p)
-            ):
-                literals = sorted(str(literal) for literal in product)
-                rendered_products.append(" & ".join(literals))
-            rendered = " | ".join(
-                f"({p})" if len(self._products) > 1 and " & " in p else p
-                for p in sorted(rendered_products)
-            )
-        self._str = rendered
+        if rendered is None:
+            if not self._support:
+                rendered = "TRUE" if self._mask else "FALSE"
+            elif len(self._support) == 1:
+                txn = self._support[0]
+                rendered = txn if self._mask == 0b10 else "~" + txn
+            else:
+                terms = sorted(
+                    " & ".join(sorted(map(str, product)))
+                    for product in self.products
+                )
+                rendered = " | ".join(
+                    f"({t})" if len(terms) > 1 and " & " in t else t
+                    for t in terms
+                )
+            self._str = rendered
         return rendered
 
     def __repr__(self) -> str:
         return f"Condition({str(self)})"
 
 
+# ----------------------------------------------------------------------
+# Truth-table internals
+# ----------------------------------------------------------------------
+
+
+def _new(support: Support, mask: int) -> Condition:
+    """A condition over an already-reduced *support*, skipping checks."""
+    condition = object.__new__(Condition)
+    condition._support = support
+    condition._mask = mask
+    condition._products = condition._str = None
+    return condition
+
+
+def _full(k: int) -> int:
+    """The all-ones table over *k* variables."""
+    return (1 << (1 << k)) - 1
+
+
+def _variable(j: int, k: int) -> int:
+    """The table of "variable *j* is true" over *k* variables."""
+    half = 1 << j
+    table = ((1 << half) - 1) << half
+    width, size = half << 1, 1 << k
+    while width < size:
+        table |= table << width
+        width <<= 1
+    return table
+
+
+def _drop(table: int, j: int, k: int) -> int:
+    """Remove variable *j* from a *k*-variable table whose rows with
+    variable *j* true are all zero."""
+    width = 1 << j
+    if j == k - 1:
+        return table
+    low = (1 << width) - 1
+    out = 0
+    for offset in range(0, 1 << (k - 1), width):
+        out |= (table >> (offset << 1) & low) << offset
+    return out
+
+
+def _insert(table: int, p: int, k: int) -> int:
+    """Add variable *p*, which the function ignores, to a *k*-variable table."""
+    width = 1 << p
+    if p < k:
+        low = (1 << width) - 1
+        spread = 0
+        for offset in range(0, 1 << k, width):
+            spread |= (table >> offset & low) << (offset << 1)
+        table = spread
+    return table | table << width
+
+
+def _expand(condition: Condition, support: Support) -> int:
+    """*condition*'s table over *support*, a sorted superset of its own."""
+    table = condition._mask
+    if condition._support != support:
+        own = set(condition._support)
+        k = len(own)
+        for p, txn in enumerate(support):
+            if txn not in own:
+                table = _insert(table, p, k)
+                k += 1
+    return table
+
+
+def _reduced(support: Support, table: int) -> Condition:
+    """The condition for *table* over *support*, minus ignored variables."""
+    if table == 0:
+        return FALSE
+    k = len(support)
+    if table == _full(k):
+        return TRUE
+    j = 0
+    while j < k:
+        column = _variable(j, k)
+        low = table & ~column
+        if (table & column) >> (1 << j) == low:
+            table = _drop(low, j, k)
+            support = support[:j] + support[j + 1 :]
+            k -= 1
+        else:
+            j += 1
+    return _new(support, table)
+
+
+def _aligned(conditions: Sequence[Condition]) -> Tuple[Support, List[int]]:
+    """The conditions' union support, and their tables over it."""
+    support = tuple(sorted(set().union(*(c._support for c in conditions))))
+    _check_variable_count(support)
+    return support, [_expand(c, support) for c in conditions]
+
+
+def _apply(a: Condition, b: Condition, op) -> Condition:
+    if a._support == b._support:
+        return _reduced(a._support, op(a._mask, b._mask))
+    support, (mine, theirs) = _aligned((a, b))
+    table = op(mine, theirs)
+    if len(support) == len(a._support) + len(b._support):
+        # Neither operand is constant here, so a conjunction or
+        # disjunction over disjoint supports depends on every variable.
+        return _new(support, table)
+    return _reduced(support, table)
+
+
 def _check_variable_count(variables: Sequence[TxnId]) -> None:
     if len(variables) > MAX_TRUTH_TABLE_VARIABLES:
         raise ConditionError(
-            f"refusing to enumerate a truth table over {len(variables)} "
-            f"transactions (limit {MAX_TRUTH_TABLE_VARIABLES}); this many "
+            f"refusing a truth table over {len(variables)} transactions "
+            f"(limit {MAX_TRUTH_TABLE_VARIABLES}); this many "
             "simultaneously in-doubt transactions indicates misuse"
         )
 
@@ -487,161 +479,9 @@ def all_assignments(variables: Sequence[TxnId]) -> Iterator[Dict[TxnId, bool]]:
         yield dict(zip(variables, values))
 
 
-def _assignments(variables: Sequence[TxnId]) -> Iterator[Dict[TxnId, bool]]:
-    """Yield every outcome assignment over *variables* (no size guard)."""
-    for values in itertools.product((False, True), repeat=len(variables)):
-        yield dict(zip(variables, values))
-
-
-# ----------------------------------------------------------------------
-# Interning and memoization infrastructure
-# ----------------------------------------------------------------------
-#
-# Interned conditions live in a weak-value table keyed by their
-# simplified product set, so a condition exists at most once but is
-# reclaimed as soon as nothing (including the strong LRU caches below)
-# references it.  The operation caches are keyed on interned identities:
-# Condition.__hash__ is a precomputed field and __eq__ short-circuits on
-# identity, so cache lookups never re-hash product sets.
-
-_INTERNED: "weakref.WeakValueDictionary[FrozenSet[Product], Condition]" = (
-    weakref.WeakValueDictionary()
-)
-
-#: The canonical product set of the *true* condition (the empty product).
-_TRUE_PRODUCTS: FrozenSet[Product] = frozenset([frozenset()])
-
-
-def _intern(products: FrozenSet[Product]) -> Condition:
-    """The unique :class:`Condition` for an already-simplified product set."""
-    existing = _INTERNED.get(products)
-    if existing is not None:
-        return existing
-    condition = object.__new__(Condition)
-    condition._products = products
-    condition._hash = hash(products)
-    condition._variables = frozenset(
-        literal.txn for product in products for literal in product
-    )
-    if products == _TRUE_PRODUCTS:
-        condition._truth = True
-    elif not products:
-        condition._truth = False
-    else:
-        condition._truth = None
-    condition._str = None
-    _INTERNED[products] = condition
-    return condition
-
-
-def _identity_product(product: Product) -> Product:
-    # lru_cache keyed on frozenset equality returns the first instance
-    # seen for each distinct product, which is exactly interning.
-    return product
-
-
-def _and_uncached(a: Condition, b: Condition) -> Condition:
-    return Condition(p | q for p in a._products for q in b._products)
-
-
-def _or_uncached(a: Condition, b: Condition) -> Condition:
-    return Condition(itertools.chain(a._products, b._products))
-
-
-def _invert_uncached(a: Condition) -> Condition:
-    # De Morgan: negate a sum of products by taking, for every way of
-    # choosing one literal from each product, the product of the
-    # complements.  The constructor simplifies the (possibly large)
-    # intermediate form; condition sizes in this system are tiny.
-    if a._truth is False:
-        return TRUE
-    negated = TRUE
-    for product in a._products:
-        complements = Condition([[literal.negate()] for literal in product])
-        negated = negated & complements
-    return negated
-
-
-def _substitute_uncached(
-    condition: Condition, outcome_items: Tuple[Tuple[TxnId, bool], ...]
-) -> Condition:
-    outcomes = dict(outcome_items)
-    new_products = []
-    for product in condition._products:
-        kept: list = []
-        dead = False
-        for literal in product:
-            outcome = outcomes.get(literal.txn)
-            if outcome is None:
-                kept.append(literal)
-            elif outcome != literal.positive:
-                dead = True
-                break
-        if not dead:
-            new_products.append(kept)
-    return Condition(new_products)
-
-
-def _build_caches(maxsize: Optional[int]) -> None:
-    global _literal_cached, _intern_product, _simplify_cached
-    global _and_cached, _or_cached, _invert_cached, _substitute_cached
-    _literal_cached = lru_cache(maxsize=maxsize)(Literal)
-    _intern_product = lru_cache(maxsize=maxsize)(_identity_product)
-    _simplify_cached = lru_cache(maxsize=maxsize)(_simplify_products)
-    _and_cached = lru_cache(maxsize=maxsize)(_and_uncached)
-    _or_cached = lru_cache(maxsize=maxsize)(_or_uncached)
-    _invert_cached = lru_cache(maxsize=maxsize)(_invert_uncached)
-    _substitute_cached = lru_cache(maxsize=maxsize)(_substitute_uncached)
-
-
-def _caches() -> Dict[str, Any]:
-    return {
-        "literal": _literal_cached,
-        "product": _intern_product,
-        "simplify": _simplify_cached,
-        "and": _and_cached,
-        "or": _or_cached,
-        "invert": _invert_cached,
-        "substitute": _substitute_cached,
-    }
-
-
-def configure_caches(maxsize: Optional[int] = DEFAULT_CACHE_SIZE) -> None:
-    """(Re)build the memoization caches with the given per-cache bound.
-
-    ``maxsize=0`` disables memoization entirely (every operation
-    recomputes — useful for A/B benchmarking the caches themselves);
-    ``maxsize=None`` makes the caches unbounded.  Rebuilding discards
-    all currently memoized entries.  Interned :class:`Condition`
-    instances are unaffected: they live in a weak table and remain
-    shared regardless of cache configuration.
-    """
-    _build_caches(maxsize)
-
-
-def clear_caches() -> None:
-    """Drop every memoized entry, keeping the configured cache bounds."""
-    for cache in _caches().values():
-        cache.cache_clear()
-
-
-def cache_info() -> Dict[str, Any]:
-    """Per-cache :func:`functools.lru_cache` statistics, by cache name.
-
-    Keys: ``literal``, ``product``, ``simplify``, ``and``, ``or``,
-    ``invert``, ``substitute``; values are ``CacheInfo`` tuples with
-    ``hits``/``misses``/``maxsize``/``currsize`` fields.
-    """
-    return {name: cache.cache_info() for name, cache in _caches().items()}
-
-
-_build_caches(DEFAULT_CACHE_SIZE)
-
-
-#: Module-level singletons for the two constant conditions.  Conditions
-#: are immutable, so sharing these is safe and avoids re-simplification.
-TRUE: Condition = Condition.true()
-FALSE: Condition = Condition.false()
+#: Module-level singletons for the two constant conditions.
+TRUE: Condition = _new((), 1)
+FALSE: Condition = _new((), 0)
 
 
 def conditions_are_complete(conditions: Sequence[Condition]) -> bool:
@@ -651,30 +491,27 @@ def conditions_are_complete(conditions: Sequence[Condition]) -> bool:
     conditions of a polyvalue ("the conditions on the pairs in each
     polyvalue must be complete and disjoint").
     """
-    variables = sorted(frozenset().union(*(c.variables() for c in conditions)) if conditions else frozenset())
-    _check_variable_count(variables)
-    return all(
-        any(condition.evaluate(a) for condition in conditions)
-        for a in _assignments(variables)
-    )
+    support, tables = _aligned(conditions)
+    covered = 0
+    for table in tables:
+        covered |= table
+    return covered == _full(len(support))
 
 
 def conditions_are_disjoint(conditions: Sequence[Condition]) -> bool:
     """True iff, under every assignment, at most one condition holds."""
-    variables = sorted(frozenset().union(*(c.variables() for c in conditions)) if conditions else frozenset())
-    _check_variable_count(variables)
-    for assignment in _assignments(variables):
-        if sum(1 for c in conditions if c.evaluate(assignment)) > 1:
+    _, tables = _aligned(conditions)
+    covered = 0
+    for table in tables:
+        if covered & table:
             return False
+        covered |= table
     return True
 
 
 def conditions_are_complete_and_disjoint(conditions: Sequence[Condition]) -> bool:
     """The paper's full well-formedness check: exactly one condition holds
     under any assignment of outcomes to transaction identifiers."""
-    variables = sorted(frozenset().union(*(c.variables() for c in conditions)) if conditions else frozenset())
-    _check_variable_count(variables)
-    return all(
-        sum(1 for c in conditions if c.evaluate(a)) == 1
-        for a in _assignments(variables)
+    return conditions_are_disjoint(conditions) and conditions_are_complete(
+        conditions
     )

@@ -1,61 +1,41 @@
-"""Exact two-level minimisation of conditions (Quine–McCluskey).
+"""Exact two-level minimisation of truth tables (Quine–McCluskey).
 
-The constructor of :class:`~repro.core.conditions.Condition` applies
-cheap local rewrites (contradiction removal, absorption, resolution)
-that keep conditions small in the common case.  Long chains of
-polytransaction propagation can still accumulate redundant products;
-:func:`minimize` computes a guaranteed-minimal sum-of-products form:
+A :class:`~repro.core.conditions.Condition` is a truth table over its
+support; the paper's sum-of-products form (section 3.1, rule 3) is only
+how it is printed and encoded.  :func:`cover` turns a table into a
+minimal sum of products:
 
-1. enumerate the condition's minterms over its variables;
+1. the minterms are the table's set bits;
 2. Quine–McCluskey prime-implicant generation (iteratively merge
    implicants differing in one defined bit);
 3. essential-prime selection, then greedy set cover for the rest.
 
-Exactness costs ``O(3^n)`` in the variable count ``n``; like every
-semantic operation in :mod:`repro.core.conditions` it refuses to run
-past :data:`~repro.core.conditions.MAX_TRUTH_TABLE_VARIABLES`
-variables — far beyond any realistic number of simultaneously in-doubt
-transactions.
+Exactness costs ``O(3^n)`` in the support size ``n``, which the
+condition algebra caps at
+:data:`~repro.core.conditions.MAX_TRUTH_TABLE_VARIABLES` — far beyond
+any realistic number of simultaneously in-doubt transactions.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.conditions import (
-    MAX_TRUTH_TABLE_VARIABLES,
-    Condition,
-    Literal,
-    TxnId,
-)
 from repro.core.errors import ConditionError
 
 #: An implicant: (values, mask).  Bit i of *mask* set means variable i
 #: is defined in the implicant, with polarity given by bit i of
 #: *values*; a clear mask bit is a "don't care" (merged-away) variable.
-_Implicant = Tuple[int, int]
+Implicant = Tuple[int, int]
 
 
-def _minterms(condition: Condition, variables: Sequence[TxnId]) -> List[int]:
-    terms = []
-    for index in range(1 << len(variables)):
-        assignment = {
-            variable: bool(index >> position & 1)
-            for position, variable in enumerate(variables)
-        }
-        if condition.evaluate(assignment):
-            terms.append(index)
-    return terms
-
-
-def _prime_implicants(minterms: Sequence[int], width: int) -> Set[_Implicant]:
+def _prime_implicants(minterms: Sequence[int], width: int) -> Set[Implicant]:
     """Iteratively merge implicants differing in exactly one defined bit."""
     full_mask = (1 << width) - 1
-    current: Set[_Implicant] = {(term, full_mask) for term in minterms}
-    primes: Set[_Implicant] = set()
+    current: Set[Implicant] = {(term, full_mask) for term in minterms}
+    primes: Set[Implicant] = set()
     while current:
-        merged_away: Set[_Implicant] = set()
-        produced: Set[_Implicant] = set()
+        merged_away: Set[Implicant] = set()
+        produced: Set[Implicant] = set()
         ordered = sorted(current)
         for i, (values_a, mask_a) in enumerate(ordered):
             for values_b, mask_b in ordered[i + 1 :]:
@@ -72,21 +52,21 @@ def _prime_implicants(minterms: Sequence[int], width: int) -> Set[_Implicant]:
     return primes
 
 
-def _covers(implicant: _Implicant, minterm: int) -> bool:
+def _covers(implicant: Implicant, minterm: int) -> bool:
     values, mask = implicant
     return (minterm & mask) == (values & mask)
 
 
 def _select_cover(
-    primes: Set[_Implicant], minterms: Sequence[int]
-) -> List[_Implicant]:
+    primes: Set[Implicant], minterms: Sequence[int]
+) -> List[Implicant]:
     """Essential primes first, then greedy cover of the remainder."""
     uncovered: Set[int] = set(minterms)
-    coverage: Dict[_Implicant, Set[int]] = {
+    coverage: Dict[Implicant, Set[int]] = {
         prime: {term for term in minterms if _covers(prime, term)}
         for prime in primes
     }
-    chosen: List[_Implicant] = []
+    chosen: List[Implicant] = []
     # Essential primes: a minterm covered by exactly one prime.
     for term in sorted(minterms):
         covering = [prime for prime in sorted(primes) if term in coverage[prime]]
@@ -107,22 +87,26 @@ def _select_cover(
     return chosen
 
 
-def _to_condition(
-    implicants: Sequence[_Implicant], variables: Sequence[TxnId]
-) -> Condition:
-    products = []
-    for values, mask in implicants:
-        literals = [
-            Literal(variable, bool(values >> position & 1))
-            for position, variable in enumerate(variables)
-            if mask >> position & 1
-        ]
-        products.append(literals)
-    return Condition(products)
+def cover(table: int, width: int) -> List[Implicant]:
+    """A minimal set of implicants whose union is *table*.
+
+    *table* is a truth table over *width* variables: bit ``i`` is the
+    function's value under the assignment whose variable ``j`` is true
+    iff bit ``j`` of ``i`` is set.  An empty table has an empty cover.
+    """
+    minterms = [
+        index for index, bit in enumerate(reversed(bin(table)[2:])) if bit == "1"
+    ]
+    if not minterms:
+        return []
+    return _select_cover(_prime_implicants(minterms, width), minterms)
 
 
-def minimize(condition: Condition) -> Condition:
+def minimize(condition):
     """An equivalent condition with a minimal number of products.
+
+    Conditions are exact truth tables whose :attr:`products` are
+    already a minimal cover, so this returns *condition* itself.
 
     >>> from repro.core.conditions import Condition
     >>> t1, t2, t3 = (Condition.of(t) for t in ("T1", "T2", "T3"))
@@ -130,29 +114,14 @@ def minimize(condition: Condition) -> Condition:
     >>> print(minimize(bloated))
     (T1 & T2) | (T1 & T3)
     """
-    variables = sorted(condition.variables())
-    if len(variables) > MAX_TRUTH_TABLE_VARIABLES:
-        raise ConditionError(
-            f"refusing to minimise over {len(variables)} variables "
-            f"(limit {MAX_TRUTH_TABLE_VARIABLES})"
-        )
-    if not variables:
-        return Condition.true() if condition.is_true() else Condition.false()
-    minterms = _minterms(condition, variables)
-    if not minterms:
-        return Condition.false()
-    if len(minterms) == 1 << len(variables):
-        return Condition.true()
-    primes = _prime_implicants(minterms, len(variables))
-    cover = _select_cover(primes, minterms)
-    return _to_condition(cover, variables)
+    return condition
 
 
-def product_count(condition: Condition) -> int:
-    """The number of products in the condition's current form."""
+def product_count(condition) -> int:
+    """The number of products in the condition's minimal form."""
     return len(condition.products)
 
 
-def literal_count(condition: Condition) -> int:
+def literal_count(condition) -> int:
     """The total number of literals across all products."""
     return sum(len(product) for product in condition.products)

@@ -8,8 +8,9 @@ transactions is unknown due to failures.
 
 The conditions of a polyvalue must be *complete* and *disjoint*: one and
 only one of them is true under any assignment of outcomes to the
-in-doubt transactions.  The constructor enforces this (it can be
-disabled for already-validated internal construction).
+in-doubt transactions.  The constructor enforces this with a few
+integer operations over the conditions' truth tables; ``validate=False``
+exists only so the harness and tests can build malformed polyvalues.
 
 Construction applies the three simplification rules of section 3.1:
 
@@ -18,9 +19,10 @@ Construction applies the three simplification rules of section 3.1:
    nesting (which occurs when polyvalues are updated with polyvalues).
 2. *Merging* — two pairs with equal values combine into one pair whose
    condition is the disjunction of the two conditions.
-3. *Sum-of-products reduction* — conditions are kept in simplified
-   sum-of-products form (done by :class:`~repro.core.conditions.Condition`
-   itself) and pairs with logically false conditions are discarded.
+3. *Sum-of-products reduction* — conditions are exact truth tables
+   (:class:`~repro.core.conditions.Condition` keeps them canonical and
+   prints them as a minimal sum of products), and pairs with logically
+   false conditions are discarded.
 
 The module also provides the lifted-function helpers that
 polytransactions are built from: :func:`combine` applies an ordinary
@@ -126,28 +128,12 @@ class Polyvalue:
         If new and old simplify to the same value the result is that
         plain value (no uncertainty is introduced).
         """
-        if not isinstance(new_value, Polyvalue) and not isinstance(
-            old_value, Polyvalue
-        ):
-            # Fast path for the overwhelmingly common case of two simple
-            # values: ``{<v, T>, <v', ~T>}`` is complete and disjoint by
-            # construction, so the truth-table validation is skipped.
-            if _values_equal(new_value, old_value):
-                return new_value
-            return Polyvalue(
-                [
-                    (new_value, Condition.of(txn)),
-                    (old_value, Condition.not_of(txn)),
-                ],
-                validate=False,
-            )
-        result = Polyvalue(
+        return Polyvalue(
             [
                 (new_value, Condition.of(txn)),
                 (old_value, Condition.not_of(txn)),
             ]
-        )
-        return result.collapse()
+        ).collapse()
 
     # ------------------------------------------------------------------
     # Structure
@@ -267,10 +253,12 @@ class Polyvalue:
         survives.
         """
         if len(self._pairs) > 1 and not any(
-            txn in self.depends_on() for txn in outcomes
+            txn in outcomes for txn in self.depends_on()
         ):
             # None of the known outcomes mention a transaction this
             # polyvalue awaits; substitution would be an identity map.
+            # Only the polyvalue's own dependencies are probed: the
+            # site's outcome map grows with every transaction ever run.
             return self
         reduced = [
             (value, condition.substitute(outcomes))
@@ -301,19 +289,12 @@ class Polyvalue:
         ).collapse()
 
     def minimized(self) -> "Polyvalue":
-        """A copy whose conditions are exactly minimised (Quine-McCluskey).
+        """This polyvalue, whose conditions are already minimal.
 
-        The constructor's local rewrites keep conditions small in the
-        common case; after long polytransaction chains this squeezes
-        out any remaining redundancy.  Semantics are unchanged, so
-        validation is skipped.
+        Conditions are exact truth tables and print as a minimal sum of
+        products, so there is no redundancy left to squeeze out.
         """
-        from repro.core.minimize import minimize
-
-        return Polyvalue(
-            [(value, minimize(condition)) for value, condition in self._pairs],
-            validate=False,
-        )
+        return self
 
     # ------------------------------------------------------------------
     # Dunder plumbing

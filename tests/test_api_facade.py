@@ -2,8 +2,7 @@
 
 The facade is the supported import surface: everything in its
 ``__all__`` must resolve, the old deep-import paths it replaces must
-keep working but warn, and the performance-cache knobs it re-exports
-must round-trip.
+keep working but warn, and the two retired cache hooks stay inert.
 """
 
 import importlib
@@ -118,33 +117,28 @@ def test_facade_import_itself_is_warning_free():
 
 
 # ----------------------------------------------------------------------
-# Cache knobs re-exported through the facade
+# Retired cache hooks on the facade
 # ----------------------------------------------------------------------
 
 
 def test_cache_knobs_round_trip():
-    try:
-        api.configure_caches(128)
-        info = api.cache_info()
-        assert set(info) >= {"and", "or", "invert", "substitute"}
-        assert all(stats.maxsize == 128 for stats in info.values())
+    # Conditions are exact truth tables with no memo caches: the two
+    # hooks that outlive them report nothing and drop nothing, and the
+    # sizing knob and literal interning are gone from the surface.
+    assert api.cache_info() == {}
+    assert api.clear_caches() is None
+    assert not hasattr(api, "configure_caches")
+    assert not hasattr(api, "intern_literal")
 
-        a = api.Condition.of("T1") & api.Condition.not_of("T2")
-        b = api.Condition.of("T1") & api.Condition.not_of("T2")
-        assert a is b  # interning is independent of cache size
-
-        api.clear_caches()
-        assert all(
-            stats.currsize == 0 for stats in api.cache_info().values()
-        )
-    finally:
-        api.configure_caches()
+    a = api.Condition.of("T1") & api.Condition.not_of("T2")
+    api.clear_caches()
+    b = api.Condition.of("T1") & api.Condition.not_of("T2")
+    assert a == b and hash(a) == hash(b)
+    assert api.cache_info() == {}
 
 
 def test_disabling_caches_keeps_algebra_working():
-    try:
-        api.configure_caches(0)
-        c = api.Condition.of("T1") | ~api.Condition.of("T2")
-        assert c.substitute({"T1": True}).is_tautology()
-    finally:
-        api.configure_caches()
+    api.clear_caches()
+    c = api.Condition.of("T1") | ~api.Condition.of("T2")
+    assert c.substitute({"T1": True}).is_tautology()
+    assert c.substitute({"T1": False}) == ~api.Condition.of("T2")

@@ -30,6 +30,11 @@ under ``src/repro/txn`` only ``runtime.py`` (``SiteRuntime``'s
 ``report_*`` methods) may mark a handle decided, bump the submitted /
 committed / aborted / lock-conflict counters, or emit ``txn.submitted``,
 ``txn.committed``, ``txn.aborted`` or ``lock.conflict``.
+
+A fifth rule keeps the polyvalue core free of hidden state: nothing
+under ``src/repro/core`` memoizes (no ``functools.lru_cache`` or
+``functools.cache``) or keeps weak tables (no ``weakref``).  A condition
+is an exact truth table, so there is nothing for a cache to save.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ REPORT_EVENTS = (
     "txn.aborted",
     "lock.conflict",
 )
+
+
+#: Memoization and weak-table machinery the core must not use.
+MEMO_NAMES = ("lru_cache", "cache")
+MEMO_MODULES = ("functools", "weakref")
 
 
 def _banned(module_name: str) -> bool:
@@ -145,6 +155,34 @@ def _report_bypasses(path: pathlib.Path) -> list:
             and node.args[0].value in REPORT_EVENTS
         ):
             found.append(f"{where}: emit({node.args[0].value!r})")
+    return found
+
+
+def _memo_uses(path: pathlib.Path) -> list:
+    """Every import of ``weakref`` and every ``functools`` cache."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Import):
+            found += [
+                f"{where}: import {alias.name}"
+                for alias in node.names
+                if alias.name == "weakref"
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module in MEMO_MODULES:
+            found += [
+                f"{where}: from {node.module} import {alias.name}"
+                for alias in node.names
+                if node.module == "weakref" or alias.name in MEMO_NAMES
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MEMO_MODULES
+            and (node.value.id == "weakref" or node.attr in MEMO_NAMES)
+        ):
+            found.append(f"{where}: {node.value.id}.{node.attr}")
     return found
 
 
@@ -288,3 +326,36 @@ def test_lint_catches_a_report_bypass(tmp_path):
 def test_exempt_system_module_is_the_composition_root():
     """system.py must still exist — the exemption is not dead config."""
     assert (TXN_DIR / "system.py").is_file()
+
+
+@pytest.mark.parametrize(
+    "path", sorted((SRC_DIR / "core").glob("*.py")), ids=lambda p: p.name
+)
+def test_core_module_keeps_no_memo_caches(path):
+    violations = _memo_uses(path)
+    assert not violations, (
+        "the polyvalue core computes exactly and keeps no caches:\n  "
+        + "\n  ".join(violations)
+    )
+
+
+def test_lint_catches_a_memo_cache(tmp_path):
+    """The memo rule is live: each planted cache is reported once."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import functools\n"
+        "import weakref\n"
+        "from functools import lru_cache, reduce\n"
+        "from weakref import WeakValueDictionary\n"
+        "f = functools.cache(len)\n"
+        "g = functools.lru_cache(maxsize=8)(len)\n"
+        "h = functools.reduce\n",
+        encoding="utf-8",
+    )
+    assert [line.split(": ", 1)[1] for line in _memo_uses(bad)] == [
+        "import weakref",
+        "from functools import lru_cache",
+        "from weakref import WeakValueDictionary",
+        "functools.cache",
+        "functools.lru_cache",
+    ]

@@ -246,9 +246,12 @@ class TestWellFormedness:
         assert conditions_are_complete_and_disjoint([TRUE])
 
     def test_truth_table_limit_enforced(self):
-        big = Condition.all_of(*(f"T{i}" for i in range(25)))
+        # The guard fires when the 25-variable table would be built.
         with pytest.raises(ConditionError):
-            big.is_tautology()
+            Condition.all_of(*(f"T{i}" for i in range(25)))
+        wide = Condition.all_of(*(f"T{i}" for i in range(20)))
+        with pytest.raises(ConditionError):
+            wide & Condition.of("T20")
 
 
 class TestPresentation:

@@ -1,18 +1,21 @@
 """Property-based tests (hypothesis) for the condition algebra.
 
-These verify that the simplification done by the Condition constructor
-and operators is *semantics-preserving*: whatever structural rewriting
-happens (contradiction removal, absorption, resolution), the predicate
-must agree with a naive evaluation under every assignment.
+A condition is a truth table over its support, so these check it
+against brute force: whatever a construction or operator does, the
+predicate must agree with a naive evaluation of the raw sum of products
+under every assignment, and equality, hashing, ``is_true`` and
+``variables`` must be exact.
 """
 
 import itertools
+import pickle
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import conditions
+from repro import api
 from repro.core.conditions import Condition, Literal
+from repro.core.serialize import decode_condition, encode_condition
 
 TXNS = ["T1", "T2", "T3", "T4"]
 
@@ -142,24 +145,23 @@ def test_structural_equality_implies_equal_hash(products_list):
 
 
 # ----------------------------------------------------------------------
-# Interning and memoization (the performance layer)
+# Canonical form: one representation per function
 # ----------------------------------------------------------------------
 #
-# The Condition constructor hash-conses: structurally equal conditions
-# are the *same object*, and the algebra is memoized on those interned
-# identities.  None of that may change observable behaviour — the
-# properties below run every operation twice, once with the caches as
-# configured and once with memoization disabled (``configure_caches(0)``
-# turns every lru_cache off while keeping the weak intern table), and
-# demand identical answers.
+# Equal functions are equal values with one rendering, and a condition
+# rebuilt from its ``(support, mask)`` pair or from its own products
+# behaves identically.  The tests keep the names of the interning and
+# cache tests whose promises they carry over.
 
 
 @given(raw_conditions)
 @settings(max_examples=60)
 def test_interning_yields_identical_objects(products_list):
     a = build(products_list)
-    b = build(list(products_list))
-    assert a is b
+    b = build(list(reversed(products_list)))
+    assert a == b and hash(a) == hash(b)
+    assert str(a) == str(b)
+    assert a.products == b.products
 
 
 def _products_canonical(condition):
@@ -171,9 +173,8 @@ def _products_canonical(condition):
     )
 
 
-def _algebra_snapshot(left, right):
+def _algebra_snapshot(a, b):
     """Every observable product of the algebra on a pair of conditions."""
-    a, b = build(left), build(right)
     reduced = (a & b).substitute({"T1": True, "T3": False})
     return {
         "and": _products_canonical(a & b),
@@ -192,13 +193,13 @@ def _algebra_snapshot(left, right):
 @given(raw_conditions, raw_conditions)
 @settings(max_examples=60)
 def test_cached_algebra_observationally_identical_to_uncached(left, right):
-    cached = _algebra_snapshot(left, right)
-    conditions.configure_caches(0)
-    try:
-        uncached = _algebra_snapshot(left, right)
-    finally:
-        conditions.configure_caches()
-    assert cached == uncached
+    a, b = build(left), build(right)
+    direct = _algebra_snapshot(a, b)
+    # Rebuilt across a process boundary (pickle uses ``__reduce__``)...
+    shipped = _algebra_snapshot(*pickle.loads(pickle.dumps((a, b))))
+    # ...and rebuilt from the printed sum-of-products form.
+    reprinted = _algebra_snapshot(Condition(a.products), Condition(b.products))
+    assert direct == shipped == reprinted
 
 
 @given(raw_conditions, st.booleans())
@@ -206,20 +207,19 @@ def test_cached_algebra_observationally_identical_to_uncached(left, right):
 def test_interning_never_leaks_across_txnid_spaces(products_list, outcome):
     """Conditions over one TxnId space are inert under another space.
 
-    The memoized ``substitute`` is keyed on the outcomes *restricted to
-    the condition's own variables*, so outcomes for foreign transaction
-    identifiers must neither change the result nor smuggle foreign
-    variables into it.
+    ``substitute`` only probes the outcomes of the condition's own
+    support, so outcomes for foreign transaction identifiers must
+    neither change the result nor smuggle foreign variables into it.
     """
     condition = build(products_list)
     foreign = {"U1": outcome, "U2": not outcome}
     # Substituting outcomes from a disjoint TxnId space is an identity —
-    # literally: the fast path returns the very same interned object.
+    # literally: the fast path returns the very same object.
     assert condition.substitute(foreign) is condition
     # Mixing foreign outcomes into a relevant substitution changes
     # nothing relative to the restricted substitution.
     mixed = condition.substitute({"T1": outcome, **foreign})
-    assert mixed is condition.substitute({"T1": outcome})
+    assert mixed == condition.substitute({"T1": outcome})
     # And no operation ever invents variables from the foreign space.
     assert not (condition.variables() & set(foreign))
     assert not ((~condition).variables() & set(foreign))
@@ -230,11 +230,101 @@ def test_interning_never_leaks_across_txnid_spaces(products_list, outcome):
 def test_cache_reconfiguration_preserves_identity_of_live_conditions(
     products_list,
 ):
-    """Clearing/resizing the memoization caches must not break interning:
-    a condition rebuilt after ``clear_caches`` is still the same object
-    as its live predecessor (the intern table is weak, not an lru_cache).
-    """
+    """The retired ``clear_caches`` hook is inert: a condition rebuilt
+    after it is equal, hash-equal and printed the same as before."""
     before = build(products_list)
-    conditions.clear_caches()
+    api.clear_caches()
     after = build(list(products_list))
-    assert after is before
+    assert after == before and hash(after) == hash(before)
+    assert str(after) == str(before)
+
+
+# ----------------------------------------------------------------------
+# Exactness against brute force
+# ----------------------------------------------------------------------
+
+
+def _p(*literals):
+    """A product from ``"T1"`` / ``"~T1"`` spellings."""
+    return frozenset(
+        Literal(spelling.lstrip("~"), not spelling.startswith("~"))
+        for spelling in literals
+    )
+
+
+#: (T1 & T2) | ~T1 | ~T2 — a tautology that mentions two transactions.
+TAUTOLOGY = [_p("T1", "T2"), _p("~T1"), _p("~T2")]
+
+
+def _table(condition):
+    return tuple(condition.evaluate(a) for a in all_assignments())
+
+
+def _essential(condition):
+    """The transactions whose flip changes the value somewhere."""
+    return {
+        txn
+        for txn in TXNS
+        for assignment in all_assignments()
+        if condition.evaluate(assignment)
+        != condition.evaluate({**assignment, txn: not assignment[txn]})
+    }
+
+
+@given(raw_conditions)
+@example(TAUTOLOGY)
+def test_is_true_is_exact(products_list):
+    condition = build(products_list)
+    brute = all(naive_evaluate(products_list, a) for a in all_assignments())
+    assert condition.is_true() == condition.is_tautology() == brute
+    assert condition.is_false() == (not any(_table(condition)))
+
+
+@given(raw_conditions, raw_conditions)
+@example([_p("T1"), _p("~T1", "T2")], [_p("T1"), _p("T2")])
+def test_equality_is_equivalence(left, right):
+    a, b = build(left), build(right)
+    same = _table(a) == _table(b)
+    assert (a == b) == a.equivalent(b) == same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@given(raw_conditions)
+@example(TAUTOLOGY)
+def test_variables_are_exactly_the_essential_ones(products_list):
+    condition = build(products_list)
+    assert condition.variables() == _essential(condition)
+
+
+@given(raw_conditions)
+def test_encoding_round_trips_to_an_equal_condition(products_list):
+    condition = build(products_list)
+    assert decode_condition(encode_condition(condition)) == condition
+
+
+def test_tautology_over_two_variables_is_true():
+    t1, t2 = Condition.of("T1"), Condition.of("T2")
+    tautology = (t1 & t2) | ~t1 | ~t2
+    assert tautology.is_true()
+    assert tautology.variables() == frozenset()
+
+
+def test_equivalent_forms_are_equal():
+    t1, t2 = Condition.of("T1"), Condition.of("T2")
+    assert t1 | (~t1 & t2) == t1 | t2
+    assert hash(t1 | (~t1 & t2)) == hash(t1 | t2)
+
+
+def test_non_minimal_v1_blob_decodes_to_the_minimal_condition():
+    # T1 | (~T1 & T2), as an encoder that kept non-minimal sums wrote it.
+    blob = {
+        "__condition__": 1,
+        "products": [
+            [{"txn": "T1", "positive": True}],
+            [{"txn": "T1", "positive": False}, {"txn": "T2", "positive": True}],
+        ],
+    }
+    decoded = decode_condition(blob)
+    assert decoded == Condition.of("T1") | Condition.of("T2")
+    assert str(decoded) == "T1 | T2"

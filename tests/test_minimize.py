@@ -62,9 +62,8 @@ class TestBasics:
         assert literal_count(minimal) == 6
 
     def test_variable_limit_enforced(self):
-        wide = Condition.all_of(*(f"T{i}" for i in range(25)))
         with pytest.raises(ConditionError):
-            minimize(wide)
+            minimize(Condition.all_of(*(f"T{i}" for i in range(25))))
 
 
 TXNS = ["T1", "T2", "T3", "T4"]

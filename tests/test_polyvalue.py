@@ -1,5 +1,7 @@
 """Unit tests for the polyvalue data structure (repro.core.polyvalue)."""
 
+from collections.abc import Mapping
+
 import pytest
 
 from repro.core.conditions import Condition
@@ -159,6 +161,35 @@ class TestReduce:
 
     def test_reduce_value_on_simple_value(self):
         assert reduce_value(10, {"T1": True}) == 10
+
+    def test_reduce_probes_only_its_own_dependencies(self):
+        # A site's outcome map grows with every transaction it ever
+        # learned about; reducing one polyvalue must look up its own
+        # few dependencies in it, never walk it.
+        pv = Polyvalue(
+            [(1, T1 & T2), (2, T1 & ~T2), (3, ~T1)]
+        )
+        assert pv.reduce(_Unwalkable({"T9": True})) is pv
+        partly = pv.reduce(_Unwalkable({"T1": True, "T9": False}))
+        assert set(partly.possible_values()) == {1, 2}
+        assert pv.reduce(_Unwalkable({"T1": False, "T9": False})) == 3
+        assert reduce_value(partly, _Unwalkable({"T2": False})) == 2
+
+
+class _Unwalkable(Mapping):
+    """An outcome map that supports lookups but refuses iteration."""
+
+    def __init__(self, known):
+        self._known = dict(known)
+
+    def __getitem__(self, txn):
+        return self._known[txn]
+
+    def __len__(self):
+        return len(self._known)
+
+    def __iter__(self):
+        raise AssertionError("the whole outcome map was iterated")
 
 
 class TestCertainty:

@@ -1,0 +1,167 @@
+"""Gate: the work one commit costs does not grow with history.
+
+Each simulated workload shape runs at two lengths, 1x and 4x, under
+``PYTHONHASHSEED=0`` in a fresh interpreter.  Per commit, the gate
+counts Python function calls (``cProfile``), simulator events and
+messages sent.  Work for one commit should be bounded by what that
+commit touches — its items, its in-doubt dependencies, its messages —
+never by how many transactions ran before it, so no count may grow by
+more than 10 % between the two lengths.
+
+Counts, not seconds: both lengths run in one process on one machine,
+so the ratio does not depend on how fast the machine is.
+
+The shapes mirror the end-to-end benchmark's simulator workloads:
+
+* ``indoubt`` — eight sites, Poisson updates, and every 4 simulated
+  seconds a batch of ten transactions whose coordinator crashes after
+  the votes, so polyvalues are installed and polytransactions run;
+* ``steady`` — five sites, the same update stream, no faults.
+
+Run one shape by hand with ``PYTHONPATH=src python
+tests/test_work_per_commit.py indoubt``.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import os
+import pathlib
+import pstats
+import random
+import subprocess
+import sys
+from typing import Any, Dict, List, Optional, Tuple
+
+import pytest
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: Allowed growth of any per-commit count from the short run to the long.
+MAX_GROWTH = 0.10
+LENGTHS = (1, 4)
+
+#: shape -> (sites, items, seconds of arrivals at 1x, mean dependencies,
+#: seconds between in-doubt batches or None).
+SHAPES: Dict[str, Tuple[int, int, float, float, Optional[float]]] = {
+    "indoubt": (8, 400, 8.0, 2.0, 4.0),
+    "steady": (5, 200, 4.0, 1.0, None),
+}
+RATE = 200.0
+VICTIMS = 10
+#: A victim's coordinator crashes after the participants voted and
+#: before any Ready reached it; it stays down this long.
+CRASH_AFTER = 0.035
+DOWN_FOR = 3.0
+
+
+def _events(shape: str, length: int) -> Tuple[List[Tuple[float, str, Any]], List[str]]:
+    sites, items, seconds, dependency_mean, every = SHAPES[shape]
+    names = [f"item-{index:04d}" for index in range(items)]
+    duration = seconds * length
+    rng = random.Random(0)
+    events: List[Tuple[float, int, str, Any]] = []
+    now = 0.0
+    while True:
+        now += rng.expovariate(RATE)
+        if now >= duration:
+            break
+        target = rng.choice(names)
+        count = int(round(rng.expovariate(1.0 / dependency_mean)))
+        deps = tuple(dict.fromkeys(rng.choice(names) for _ in range(count)))
+        events.append((now, 0, "submit", (target, deps, None)))
+    if every is not None:
+        home = {item: f"site-{index % sites}" for index, item in enumerate(names)}
+        start, batch = every / 2, 0
+        while start < duration:
+            site = f"site-{batch % sites}"
+            remote = [item for item in names if home[item] != site]
+            for _ in range(VICTIMS):
+                target, dependency = rng.sample(remote, 2)
+                events.append((start, 1, "submit", (target, (dependency,), site)))
+            events.append((start + CRASH_AFTER, 2, "crash", site))
+            events.append((start + CRASH_AFTER + DOWN_FOR, 3, "recover", site))
+            start += every
+            batch += 1
+    events.sort(key=lambda event: (event[0], event[1]))
+    return [(time, kind, payload) for time, _, kind, payload in events], names
+
+
+def _update(target: str, deps: Tuple[str, ...], salt: int):
+    from repro.api import Transaction
+
+    def body(ctx: Any) -> None:
+        mixed = salt
+        for item in deps + (target,):
+            mixed = (mixed * 31 + int(ctx.read(item))) % 1_000_000_007
+        ctx.write(target, mixed)
+
+    return Transaction(body=body, items=tuple(dict.fromkeys((target,) + deps)))
+
+
+def measure(shape: str, length: int) -> Dict[str, float]:
+    """Per-commit calls, events and messages of one seeded run."""
+    from repro.api import DistributedSystem, TxnStatus
+
+    events, names = _events(shape, length)
+    system = DistributedSystem.build(
+        sites=SHAPES[shape][0], items={name: 1 for name in names}, seed=0
+    )
+    handles = []
+    profile = cProfile.Profile()
+    profile.enable()
+    for salt, (time, kind, payload) in enumerate(events):
+        system.run_until(time)
+        if kind == "submit":
+            target, deps, at = payload
+            handles.append(system.submit(_update(target, deps, salt), at=at))
+        elif kind == "crash":
+            system.crash_site(payload)
+        else:
+            system.recover_site(payload)
+    settled = system.settle(max_time=events[-1][0] + 60.0)
+    profile.disable()
+    committed = sum(h.status is TxnStatus.COMMITTED for h in handles)
+    return {
+        "settled": settled,
+        "committed": committed,
+        "calls": pstats.Stats(profile).total_calls / committed,
+        "events": system.sim.events_processed / committed,
+        "messages": system.network.stats.sent / committed,
+    }
+
+
+def _measure_fresh(shape: str) -> Dict[int, Dict[str, float]]:
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(SRC_DIR))
+    out = subprocess.run(
+        [sys.executable, __file__, shape],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return {int(length): counts for length, counts in json.loads(out).items()}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_per_commit_work_does_not_grow_with_history(shape):
+    runs = _measure_fresh(shape)
+    short, long = (runs[length] for length in LENGTHS)
+    assert short["settled"] and long["settled"]
+    assert long["committed"] > 3 * short["committed"]
+    grown = {
+        name: round(long[name] / short[name], 3)
+        for name in ("calls", "events", "messages")
+        if long[name] > short[name] * (1 + MAX_GROWTH)
+    }
+    assert not grown, (
+        f"{shape}: per-commit work grew with history "
+        f"({LENGTHS[0]}x -> {LENGTHS[1]}x ratios {grown}; "
+        f"short {short}, long {long})"
+    )
+
+
+if __name__ == "__main__":
+    print(json.dumps({length: measure(sys.argv[1], length) for length in LENGTHS}))
