@@ -94,7 +94,6 @@ from repro.core.errors import (
     TransactionInDoubt,
     UncertainValueError,
 )
-from repro.core.minimize import minimize
 from repro.core.outcome import OutcomeLog, OutcomeTable, Resolution
 from repro.core.parser import parse_condition
 from repro.core.polytransaction import (
@@ -350,7 +349,6 @@ __all__ = [
     "failed",
     "fault_matrix",
     "is_polyvalue",
-    "minimize",
     "parse_condition",
     "path_sensitive_system",
     "paxos_commit_system",

@@ -62,7 +62,6 @@ _DEPRECATED = {
         "conditions_are_complete_and_disjoint",
     ),
     "conditions_are_disjoint": ("repro.core.conditions", "conditions_are_disjoint"),
-    "minimize": ("repro.core.minimize", "minimize"),
     "parse_condition": ("repro.core.parser", "parse_condition"),
     "OutcomeLog": ("repro.core.outcome", "OutcomeLog"),
     "OutcomeTable": ("repro.core.outcome", "OutcomeTable"),
@@ -154,7 +153,6 @@ __all__ = [
     "execute",
     "is_polyvalue",
     "literal_count",
-    "minimize",
     "parse_condition",
     "possible_values",
     "possibly",

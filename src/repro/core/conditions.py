@@ -24,8 +24,9 @@ are a running OR and an overlap test over masks aligned to the union
 support.  The paper's sum-of-products form (section 3.1, rule 3) lives
 only at the edges: :class:`Condition` is still built from products
 (by the parser, the decoder and the tests), and
-:attr:`Condition.products` and ``str`` are the minimal cover that
-:func:`repro.core.minimize.cover` computes from the mask.
+:attr:`Condition.products` and ``str`` are the cover by prime
+implicants that :func:`repro.core.minimize.cover` computes from the
+mask.
 
 The paper's section 4 argues that only a few transactions are in doubt
 at once, so supports stay tiny; :data:`MAX_TRUTH_TABLE_VARIABLES`
@@ -191,7 +192,7 @@ class Condition:
 
     @property
     def products(self) -> FrozenSet[Product]:
-        """A minimal sum of products for this condition.
+        """A sum of prime implicants equal to this condition.
 
         *true* is the set holding the empty product; *false* is empty.
         """

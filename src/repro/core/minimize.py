@@ -1,124 +1,112 @@
-"""Exact two-level minimisation of truth tables (Quine–McCluskey).
+"""Exact two-level covers of truth tables.
 
 A :class:`~repro.core.conditions.Condition` is a truth table over its
 support; the paper's sum-of-products form (section 3.1, rule 3) is only
 how it is printed and encoded.  :func:`cover` turns a table into a
-minimal sum of products:
+sum of products:
 
-1. the minterms are the table's set bits;
-2. Quine–McCluskey prime-implicant generation (iteratively merge
-   implicants differing in one defined bit);
-3. essential-prime selection, then greedy set cover for the rest.
+1. every prime implicant, found by Shannon expansion on the top
+   variable: the primes that ignore it are the primes of the two
+   cofactors' conjunction, and the others are each cofactor's remaining
+   primes with the variable's literal added (sub-tables met twice are
+   expanded once);
+2. essential primes, then a greedy cover of the rest, over tables
+   rather than minterm sets.
 
-Exactness costs ``O(3^n)`` in the support size ``n``, which the
-condition algebra caps at
-:data:`~repro.core.conditions.MAX_TRUTH_TABLE_VARIABLES` — far beyond
-any realistic number of simultaneously in-doubt transactions.
+The work follows the number of distinct sub-functions and primes, not
+the number of minterms, so a wide disjunction such as "any of twenty
+transactions" costs a few dozen integer operations per variable.  The
+condition algebra caps supports at
+:data:`~repro.core.conditions.MAX_TRUTH_TABLE_VARIABLES`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.errors import ConditionError
 
 #: An implicant: (values, mask).  Bit i of *mask* set means variable i
 #: is defined in the implicant, with polarity given by bit i of
-#: *values*; a clear mask bit is a "don't care" (merged-away) variable.
+#: *values*; a clear mask bit is a "don't care" variable.
 Implicant = Tuple[int, int]
 
 
-def _prime_implicants(minterms: Sequence[int], width: int) -> Set[Implicant]:
-    """Iteratively merge implicants differing in exactly one defined bit."""
-    full_mask = (1 << width) - 1
-    current: Set[Implicant] = {(term, full_mask) for term in minterms}
-    primes: Set[Implicant] = set()
-    while current:
-        merged_away: Set[Implicant] = set()
-        produced: Set[Implicant] = set()
-        ordered = sorted(current)
-        for i, (values_a, mask_a) in enumerate(ordered):
-            for values_b, mask_b in ordered[i + 1 :]:
-                if mask_a != mask_b:
-                    continue
-                difference = values_a ^ values_b
-                # Exactly one defined bit differs -> mergeable.
-                if difference and not difference & (difference - 1):
-                    produced.add((values_a & ~difference, mask_a & ~difference))
-                    merged_away.add((values_a, mask_a))
-                    merged_away.add((values_b, mask_b))
-        primes |= current - merged_away
-        current = produced
-    return primes
+def _primes(
+    table: int, width: int, seen: Dict[Tuple[int, int], FrozenSet[Implicant]]
+) -> FrozenSet[Implicant]:
+    """Every prime implicant of *table* over *width* variables."""
+    found = seen.get((table, width))
+    if found is None:
+        if not table:
+            found = frozenset()
+        elif table == (1 << (1 << width)) - 1:
+            found = frozenset({(0, 0)})
+        else:
+            # Bit *top* of an implicant is the top variable, and the
+            # table's low *top* rows are those where it is false.
+            top = 1 << (width - 1)
+            low, high = table & ((1 << top) - 1), table >> top
+            both = _primes(low & high, width - 1, seen)
+            found = (
+                both
+                | {(v, m | top) for v, m in _primes(low, width - 1, seen) - both}
+                | {(v | top, m | top) for v, m in _primes(high, width - 1, seen) - both}
+            )
+        seen[(table, width)] = found
+    return found
 
 
-def _covers(implicant: Implicant, minterm: int) -> bool:
+def _table(implicant: Implicant, width: int) -> int:
+    """The truth table of *implicant* over *width* variables."""
     values, mask = implicant
-    return (minterm & mask) == (values & mask)
+    table = 1
+    for j in range(width):
+        if not mask >> j & 1:
+            table |= table << (1 << j)
+        elif values >> j & 1:
+            table <<= 1 << j
+    return table
 
 
-def _select_cover(
-    primes: Set[Implicant], minterms: Sequence[int]
-) -> List[Implicant]:
-    """Essential primes first, then greedy cover of the remainder."""
-    uncovered: Set[int] = set(minterms)
-    coverage: Dict[Implicant, Set[int]] = {
-        prime: {term for term in minterms if _covers(prime, term)}
-        for prime in primes
-    }
-    chosen: List[Implicant] = []
-    # Essential primes: a minterm covered by exactly one prime.
-    for term in sorted(minterms):
-        covering = [prime for prime in sorted(primes) if term in coverage[prime]]
-        if len(covering) == 1 and covering[0] not in chosen:
-            chosen.append(covering[0])
-            uncovered -= coverage[covering[0]]
-    # Greedy for the rest (deterministic tie-break by sorted order).
-    while uncovered:
-        best = max(
-            sorted(primes),
-            key=lambda prime: (len(coverage[prime] & uncovered), -prime[1]),
-        )
-        gained = coverage[best] & uncovered
-        if not gained:
-            raise ConditionError("internal error: cover cannot progress")
-        chosen.append(best)
-        uncovered -= gained
-    return chosen
+def _ones(table: int) -> int:
+    return bin(table).count("1")
 
 
 def cover(table: int, width: int) -> List[Implicant]:
-    """A minimal set of implicants whose union is *table*.
+    """A small set of prime implicants whose union is *table*.
 
     *table* is a truth table over *width* variables: bit ``i`` is the
     function's value under the assignment whose variable ``j`` is true
     iff bit ``j`` of ``i`` is set.  An empty table has an empty cover.
     """
-    minterms = [
-        index for index, bit in enumerate(reversed(bin(table)[2:])) if bit == "1"
-    ]
-    if not minterms:
-        return []
-    return _select_cover(_prime_implicants(minterms, width), minterms)
-
-
-def minimize(condition):
-    """An equivalent condition with a minimal number of products.
-
-    Conditions are exact truth tables whose :attr:`products` are
-    already a minimal cover, so this returns *condition* itself.
-
-    >>> from repro.core.conditions import Condition
-    >>> t1, t2, t3 = (Condition.of(t) for t in ("T1", "T2", "T3"))
-    >>> bloated = (t1 & t2) | (t1 & ~t2 & t3) | (t1 & t3)
-    >>> print(minimize(bloated))
-    (T1 & T2) | (T1 & T3)
-    """
-    return condition
+    primes = sorted(_primes(table, width, {}))
+    tables = {prime: _table(prime, width) for prime in primes}
+    once = twice = 0
+    for prime_table in tables.values():
+        twice |= once & prime_table
+        once |= prime_table
+    unique = once & ~twice
+    # Essential primes: those covering a minterm no other prime covers.
+    chosen = [prime for prime in primes if tables[prime] & unique]
+    uncovered = table
+    for prime in chosen:
+        uncovered &= ~tables[prime]
+    # Greedy for the rest (deterministic tie-break by sorted order).
+    while uncovered:
+        best = max(
+            primes,
+            key=lambda prime: (_ones(tables[prime] & uncovered), -prime[1]),
+        )
+        if not tables[best] & uncovered:
+            raise ConditionError("internal error: cover cannot progress")
+        chosen.append(best)
+        uncovered &= ~tables[best]
+    return chosen
 
 
 def product_count(condition) -> int:
-    """The number of products in the condition's minimal form."""
+    """The number of products in the condition's printed form."""
     return len(condition.products)
 
 

@@ -21,7 +21,7 @@ Construction applies the three simplification rules of section 3.1:
    condition is the disjunction of the two conditions.
 3. *Sum-of-products reduction* — conditions are exact truth tables
    (:class:`~repro.core.conditions.Condition` keeps them canonical and
-   prints them as a minimal sum of products), and pairs with logically
+   prints them as a sum of prime implicants), and pairs with logically
    false conditions are discarded.
 
 The module also provides the lifted-function helpers that
@@ -287,14 +287,6 @@ class Polyvalue:
         return Polyvalue(
             [(fn(value), condition) for value, condition in self._pairs]
         ).collapse()
-
-    def minimized(self) -> "Polyvalue":
-        """This polyvalue, whose conditions are already minimal.
-
-        Conditions are exact truth tables and print as a minimal sum of
-        products, so there is no redundancy left to squeeze out.
-        """
-        return self
 
     # ------------------------------------------------------------------
     # Dunder plumbing

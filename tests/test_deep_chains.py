@@ -3,7 +3,7 @@
 The paper's regime is "a few polyvalues at a time", but the data
 structures must stay correct (and affordable) well past it.  These
 tests stack many in-doubt updates onto one item and check growth
-shape, stepwise resolution in arbitrary order, and minimisation.
+shape, stepwise resolution in arbitrary order, and the printed form.
 """
 
 import pytest
@@ -84,7 +84,8 @@ class TestStepwiseResolution:
 class TestMinimisationOnChains:
     def test_minimized_chain_equivalent(self):
         value = build_chain(6)
-        squeezed = value.minimized()
+        squeezed = Polyvalue([(v, Condition(c.products)) for v, c in value.pairs])
+        assert squeezed == value
         import itertools
 
         txns = [f"T{i}" for i in range(1, 7)]
@@ -95,15 +96,13 @@ class TestMinimisationOnChains:
             )
 
     def test_chain_conditions_already_near_minimal(self):
-        # The constructor's local rewrites keep chain conditions tight:
-        # QM finds nothing (or almost nothing) left to remove.
-        from repro.core.minimize import literal_count
+        # Layer i holds iff T_i committed and every later layer aborted:
+        # one product of n - i + 1 literals (n for the original value).
+        from repro.core.minimize import literal_count, product_count
 
         value = build_chain(6)
-        squeezed = value.minimized()
-        before = sum(literal_count(c) for _, c in value.pairs)
-        after = sum(literal_count(c) for _, c in squeezed.pairs)
-        assert after <= before
+        counts = {v: (product_count(c), literal_count(c)) for v, c in value.pairs}
+        assert counts == {i: (1, 7 - i if i else 6) for i in range(7)}
 
 
 class TestChainThroughTheSystem:
