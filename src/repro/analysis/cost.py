@@ -152,12 +152,11 @@ class ProcessingReport:
 def measure_processing(system) -> ProcessingReport:
     """Summarise the polytransaction fan-out cost of a run."""
     metrics = system.metrics
-    fanouts = metrics.polytransaction_fanouts
     return ProcessingReport(
         transactions_decided=metrics.committed + metrics.aborted,
         polytransactions=metrics.polytransactions,
-        total_fanout=sum(fanouts),
-        max_fanout=max(fanouts, default=0),
+        total_fanout=metrics.polytransaction_fanout_total,
+        max_fanout=metrics.polytransaction_fanout_max,
     )
 
 

@@ -45,6 +45,7 @@ from repro.obs.events import EventBus
 from repro.parallel.pool import run_trials
 from repro.parallel.seeds import trial_seeds
 from repro.txn.config import PROTOCOL_NAMES, config_for_protocol
+from repro.txn.transaction import TxnStatus
 from repro.check.explorer import Schedule, random_walk
 from repro.check.scenarios import SCENARIOS, build_scenario
 
@@ -141,13 +142,17 @@ def _frontier_trial(task: Tuple[str, Schedule]) -> Dict[str, Any]:
         system.recover_site(site)
     settled = system.settle(max_time=system.now + 120.0, step=0.5)
     metrics = system.metrics
+    committed = sorted(
+        (h for h in system.handles if h.status is TxnStatus.COMMITTED),
+        key=lambda handle: handle.decided_at,
+    )
     return {
         "protocol": protocol,
         "label": schedule.label,
         "submitted": metrics.submitted,
         "committed": metrics.committed,
         "aborted": metrics.aborted,
-        "latencies": list(metrics.commit_latencies),
+        "latencies": [handle.latency for handle in committed],
         "messages": system.network.stats.sent,
         "settled": settled,
         "base_latency": system.network.base_latency,

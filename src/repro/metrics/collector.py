@@ -4,29 +4,36 @@ One :class:`MetricsCollector` is shared by every site of a simulated
 system.  It accumulates the quantities the paper's evaluation (and our
 ablations) report:
 
-* transaction counts by outcome, and commit latencies;
+* transaction counts by outcome, and the commit-latency histogram;
 * polyvalue lifecycle events (installed / propagated / resolved), which
   give the instantaneous ``P(t)`` the analysis of section 4 predicts;
 * lock conflicts and item-blocked time (the availability cost that the
   blocking-2PC baseline pays and polyvalues avoid);
-* uncertain-vs-certain external outputs (section 3.4).
+* uncertain-vs-certain external outputs (section 3.4);
+* the polytransaction fan-out (section 3.2's processing cost) as a
+  running total and maximum.
 
 The collector is implemented on the labeled
 :class:`~repro.obs.registry.MetricsRegistry`: every headline counter is
 backed by a registry instrument (with ``site``/``outcome``/… labels
 where the caller provides them), and three fixed-bucket histograms —
 commit latency, in-doubt window duration, and polyvalue lifetime — are
-populated by the same hooks.  The long-standing attribute API
-(``metrics.committed``, ``metrics.lock_conflict_aborts += 1``, …) is
-preserved as properties over the registry, so the benchmarks, tests
-and examples that predate the registry keep working unchanged while
-``python -m repro report --format prometheus`` exports the full
+populated by the same hooks.  The headline counts are read-only
+properties over the registry (``metrics.committed``,
+``metrics.lock_conflict_aborts``, …); the hooks are the one write path,
+and ``python -m repro report --format prometheus`` exports the full
 labeled picture.
+
+The collector counts; it does not remember.  Its state grows with the
+items and in-doubt transactions in play, not with transactions run:
+per-transaction history is the event bus's, to a subscriber that asks
+for it.  The one series kept is ``polyvalue_count``, section 4's
+measured ``P(t)``, which grows with polyvalue installs and resolutions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.metrics.series import TimeSeries
 from repro.obs.registry import MetricsRegistry
@@ -137,11 +144,10 @@ class MetricsCollector:
             buckets=WINDOW_BUCKETS,
         )
 
-        #: Raw commit latencies (seconds), for exact percentiles.
-        self.commit_latencies: List[float] = []
-        #: One entry per polytransaction: how many alternative
-        #: transactions it fanned out to (the §3.2 processing cost).
-        self.polytransaction_fanouts: List[int] = []
+        #: How many alternative transactions polytransactions fanned
+        #: out to (the §3.2 processing cost): the sum and the largest.
+        self.polytransaction_fanout_total = 0
+        self.polytransaction_fanout_max = 0
         #: Sampled trajectory of the polyvalue count.
         self.polyvalue_count: TimeSeries = TimeSeries()
         #: (site, item) -> install time, for lifetime histograms.
@@ -158,7 +164,6 @@ class MetricsCollector:
 
     def txn_committed(self, latency: float, site: str = "") -> None:
         self._decided.inc(site=site, outcome="committed")
-        self.commit_latencies.append(latency)
         self._commit_latency.observe(latency, site=site)
 
     def txn_aborted(self, site: str = "") -> None:
@@ -166,8 +171,9 @@ class MetricsCollector:
 
     def txn_was_poly(self, fanout: int = 0, site: str = "") -> None:
         self._polytxns.inc(site=site)
-        if fanout:
-            self.polytransaction_fanouts.append(fanout)
+        self.polytransaction_fanout_total += fanout
+        if fanout > self.polytransaction_fanout_max:
+            self.polytransaction_fanout_max = fanout
 
     def polyvalue_installed(
         self, time: float, site: str = "", item: Optional[str] = None
@@ -228,7 +234,7 @@ class MetricsCollector:
         self._outputs.inc(certainty="certain" if certain else "uncertain")
 
     # ------------------------------------------------------------------
-    # Attribute API (properties over the registry)
+    # Read-only counts (properties over the registry)
     # ------------------------------------------------------------------
 
     @property
@@ -263,10 +269,6 @@ class MetricsCollector:
     def in_doubt_windows(self) -> int:
         return int(self._in_doubt.value)
 
-    @in_doubt_windows.setter
-    def in_doubt_windows(self, value: int) -> None:
-        self._in_doubt.inc(value - self.in_doubt_windows, site="")
-
     @property
     def notify_retransmissions(self) -> int:
         return int(self._retransmits.value)
@@ -283,17 +285,9 @@ class MetricsCollector:
     def lock_conflict_aborts(self) -> int:
         return int(self._lock_conflicts.value)
 
-    @lock_conflict_aborts.setter
-    def lock_conflict_aborts(self, value: int) -> None:
-        self._lock_conflicts.inc(value - self.lock_conflict_aborts, site="")
-
     @property
     def blocked_item_seconds(self) -> float:
         return self._blocked_seconds.value
-
-    @blocked_item_seconds.setter
-    def blocked_item_seconds(self, value: float) -> None:
-        self._blocked_seconds.set(value)
 
     @property
     def certain_outputs(self) -> int:
@@ -307,17 +301,9 @@ class MetricsCollector:
     def unilateral_decisions(self) -> int:
         return int(self._unilateral.value)
 
-    @unilateral_decisions.setter
-    def unilateral_decisions(self, value: int) -> None:
-        self._unilateral.inc(value - self.unilateral_decisions)
-
     @property
     def inconsistent_decisions(self) -> int:
         return int(self._inconsistent.value)
-
-    @inconsistent_decisions.setter
-    def inconsistent_decisions(self, value: int) -> None:
-        self._inconsistent.inc(value - self.inconsistent_decisions)
 
     # ------------------------------------------------------------------
     # Summaries
@@ -332,9 +318,7 @@ class MetricsCollector:
     @property
     def mean_commit_latency(self) -> Optional[float]:
         """Mean submission-to-commit time, or None with no commits."""
-        if not self.commit_latencies:
-            return None
-        return sum(self.commit_latencies) / len(self.commit_latencies)
+        return self._commit_latency.merged().mean
 
     @property
     def certain_output_fraction(self) -> float:

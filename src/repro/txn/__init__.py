@@ -27,7 +27,7 @@ from repro.txn.preanalysis import (
 )
 from repro.txn.snapshot import export_snapshot, import_snapshot
 from repro.txn.tracing import TraceRecord
-from repro.txn.runtime import SiteRuntime, SiteState, Transition, TransitionLog
+from repro.txn.runtime import SiteRuntime, SiteState, TransitionLog
 from repro.txn.site import DatabaseSite
 from repro.txn.transaction import coordinator_of, make_txn_id
 
@@ -80,7 +80,6 @@ __all__ = [
     "TransactionClass",
     "TransactionHandle",
     "TransactionProfile",
-    "Transition",
     "TransitionLog",
     "TxnStatus",
     "WorkloadMix",

@@ -9,8 +9,10 @@ site is involved in, the site is in one of three states:
   computed updates;
 * **wait** — the site has sent *ready* and awaits *complete* or *abort*.
 
-Every edge of the figure is implemented and logged to the shared
-:class:`~repro.txn.runtime.TransitionLog`:
+Every edge of the figure is implemented, counted in the shared
+:class:`~repro.txn.runtime.TransitionLog` (one count per edge, not a
+history) and emitted on the bus as a ``site.state`` event, which is
+where a checker that needs the per-step sequence subscribes:
 
 * idle → compute on the coordinator's read request (``begin``);
 * compute → wait when staging succeeds (``ready``);

@@ -2,8 +2,10 @@
 
 :class:`SiteRuntime` bundles the per-site services (clock, transport,
 store, locks, outcome table, metrics) that the participant and
-coordinator roles both need, and :class:`TransitionLog` records the
-Figure-1 state transitions that the protocol bench replays.
+coordinator roles both need, and :class:`TransitionLog` counts how often
+each Figure-1 edge fired.  The log keeps counts, not history: each step
+is also a ``site.state`` bus event, and a checker that needs the
+per-step sequence subscribes to those.
 
 The clock/timer/transport surface is the :class:`repro.runtime.Runtime`
 interface — the protocol state machines never touch the simulator or
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable
 from typing import Mapping, Optional, Set, Tuple
 
 from repro.core.outcome import OutcomeLog, OutcomeTable
@@ -47,24 +49,17 @@ class SiteState(enum.Enum):
     WAIT = "wait"
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One observed Figure-1 state transition at one site."""
-
-    time: float
-    site: SiteId
-    txn: str
-    source: SiteState
-    target: SiteState
-    trigger: str
-
-
 class TransitionLog:
-    """An append-only record of participant state transitions.
+    """How many times each Figure-1 edge fired, across every site.
 
-    The Figure 1 bench uses this to demonstrate that the implementation
-    realises exactly the paper's state diagram: every observed
-    (source, trigger, target) triple must be one of the six edges.
+    A table of counts per (source, trigger, target), so it holds at
+    most one entry per distinct edge however long the system runs.
+    Figure 1's safety is a property of each step, so the counts check
+    it as strictly as a stored history would: every observed edge must
+    be one of the diagram's.  Per-step history (which site, which
+    transaction, when) is the ``site.state`` event each
+    :meth:`record` emits on the bus; a checker that needs it attaches
+    an :class:`~repro.obs.events.EventLog` with that prefix.
     """
 
     #: The six edges of Figure 1 as (source, trigger, target).
@@ -81,7 +76,8 @@ class TransitionLog:
     )
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:
-        self.records: List[Transition] = []
+        #: (source value, trigger, target value) -> times fired.
+        self._counts: Dict[Tuple[str, str, str], int] = {}
         self._bus = bus
 
     def record(
@@ -93,17 +89,13 @@ class TransitionLog:
         target: SiteState,
         trigger: str,
     ) -> None:
-        """Append one transition (and mirror it onto the event bus)."""
-        self.records.append(
-            Transition(
-                time=time,
-                site=site,
-                txn=txn,
-                source=source,
-                target=target,
-                trigger=trigger,
-            )
-        )
+        """Count one transition (and emit it on the event bus)."""
+        # Keyed by the members' plain ``_value_`` strings: hashing an
+        # enum member, or reading ``.value``, is a Python-level call,
+        # and this runs on every step of every transaction.
+        key = (source._value_, trigger, target._value_)
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
         bus = self._bus
         if bus:
             bus.emit(
@@ -118,17 +110,13 @@ class TransitionLog:
 
     def edge_counts(self) -> Dict[Tuple[str, str, str], int]:
         """How many times each (source, trigger, target) edge fired."""
-        counts: Dict[Tuple[str, str, str], int] = {}
-        for record in self.records:
-            key = (record.source.value, record.trigger, record.target.value)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return dict(self._counts)
 
     def observed_edges(self) -> frozenset:
         """The distinct (source, trigger, target) triples observed."""
         return frozenset(
-            (record.source, record.trigger, record.target)
-            for record in self.records
+            (SiteState(source), trigger, SiteState(target))
+            for source, trigger, target in self._counts
         )
 
     def all_edges_valid(self) -> bool:

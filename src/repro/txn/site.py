@@ -64,10 +64,12 @@ class DatabaseSite:
         #: Durable: outcome notifications owed to other sites, retried
         #: until acknowledged.  Maps (txn, site) -> committed.
         self._pending_notifies: Dict[Tuple[TxnId, SiteId], bool] = {}
-        #: Volatile: per-owed-entry exponential backoff state.  Losing
-        #: it on a crash is correct — a recovering site should resend
-        #: promptly, exactly what empty state produces.
-        self._retry: Dict[Tuple[TxnId, SiteId], _RetryState] = {}
+        #: Volatile: per-owed-entry exponential backoff state, keyed by
+        #: destination peer and then txn, so liveness evidence from one
+        #: peer touches only that peer's entries.  Losing it on a crash
+        #: is correct — a recovering site should resend promptly,
+        #: exactly what empty state produces.
+        self._retry: Dict[SiteId, Dict[TxnId, _RetryState]] = {}
         #: Volatile: consecutive unacknowledged sends per destination;
         #: reaching the policy threshold suppresses the destination.
         self._peer_strikes: Dict[SiteId, int] = {}
@@ -207,7 +209,8 @@ class DatabaseSite:
     ) -> None:
         self.runtime.outcome_log.acknowledge(message.txn, message.site)
         self._pending_notifies.pop((message.txn, message.site), None)
-        self._retry.pop((message.txn, message.site), None)
+        if message.site in self._retry:
+            self._retry[message.site].pop(message.txn, None)
 
     # ------------------------------------------------------------------
     # Outcome learning and propagation (section 3.3)
@@ -293,13 +296,13 @@ class DatabaseSite:
         of waiting out a capped backoff."""
         if self._peer_strikes.get(peer):
             self._peer_strikes[peer] = 0
-        if not self._retry:
+        if peer not in self._retry or not self._retry[peer]:
             return
         rt = self.runtime
         base = rt.config.retry.base(rt.config.outcome_query_interval)
         horizon = rt.now + base
-        for (txn, site), state in self._retry.items():
-            if site == peer and state.next_at > horizon:
+        for state in self._retry[peer].values():
+            if state.next_at > horizon:
                 state.next_at = horizon
                 state.attempts = 0
 
@@ -342,20 +345,23 @@ class DatabaseSite:
         now = rt.now
         owed = self._owed_notifications()
         # Drop retry state for entries no longer owed (acknowledged).
-        for key in [key for key in self._retry if key not in owed]:
-            del self._retry[key]
+        for site in list(self._retry):
+            entries = self._retry[site]
+            for txn in [txn for txn in entries if (txn, site) not in owed]:
+                del entries[txn]
+            if not entries:
+                del self._retry[site]
         for (txn, site), committed in owed.items():
-            state = self._retry.get((txn, site))
+            entries = self._retry.setdefault(site, {})
+            state = entries.get(txn)
             if state is None:
-                state = _RetryState()
+                state = entries[txn] = _RetryState()
                 if self._peer_strikes.get(site, 0) >= policy.suppression_threshold:
                     # The destination has repeatedly failed to ack:
                     # start new entries inside the suppression window
                     # instead of probing from the base again.
                     state.next_at = now + policy.suppression_window
-                    self._retry[(txn, site)] = state
                     continue
-                self._retry[(txn, site)] = state
             elif now < state.next_at:
                 continue
             state.attempts += 1

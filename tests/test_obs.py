@@ -511,9 +511,11 @@ class TestCollectorCompatibility:
         metrics = DistributedSystem.build(
             sites=1, items={"a": 1}, seed=0
         ).metrics
-        metrics.lock_conflict_aborts += 1
-        metrics.unilateral_decisions += 2
-        metrics.blocked_item_seconds += 1.5
+        # The counts are read-only properties; the hooks write them.
+        metrics.lock_conflict()
+        metrics.unilateral_decision()
+        metrics.unilateral_decision()
+        metrics.add_blocked_item_seconds(1.5)
         assert metrics.lock_conflict_aborts == 1
         assert metrics.unilateral_decisions == 2
         assert metrics.blocked_item_seconds == pytest.approx(1.5)

@@ -131,7 +131,7 @@ class TestSuppression:
         site0._pending_notifies[(txn, "site-1")] = True
         before = system.metrics.notify_retransmissions
         site0._outcome_maintenance()
-        state = site0._retry[(txn, "site-1")]
+        state = site0._retry["site-1"][txn]
         assert state.attempts == 0
         assert state.next_at == pytest.approx(
             system.sim.now + policy.suppression_window
@@ -146,7 +146,7 @@ class TestSuppression:
         site0._pending_notifies[(txn, "site-1")] = True
         site0._peer_strikes["site-1"] = 5
         site0._outcome_maintenance()  # seeds retry state
-        state = site0._retry[(txn, "site-1")]
+        state = site0._retry["site-1"][txn]
         state.next_at = system.sim.now + 1000.0
         state.attempts = 7
         site0._note_peer_alive("site-1")
@@ -189,7 +189,7 @@ class TestSuppression:
         txn = "T96@site-0"
         site0._pending_notifies[(txn, "site-1")] = True
         site0._outcome_maintenance()  # seeds retry state
-        state = site0._retry[(txn, "site-1")]
+        state = site0._retry["site-1"][txn]
         state.next_at = system.sim.now + 1000.0
         state.attempts = 7
         site0._peer_strikes["site-1"] = 5

@@ -58,6 +58,19 @@ class TestTransitionLog:
         log.record(0.0, "s1", "T1", SiteState.IDLE, SiteState.WAIT, "teleport")
         assert not log.all_edges_valid()
 
+    def test_one_entry_per_edge_however_many_steps(self):
+        log = TransitionLog()
+        for index in range(1000):
+            log.record(
+                float(index), f"s{index % 3}", f"T{index}",
+                SiteState.IDLE, SiteState.COMPUTE, "begin",
+            )
+        assert not hasattr(log, "records")
+        assert log.edge_counts() == {("idle", "begin", "compute"): 1000}
+        assert log.observed_edges() == frozenset(
+            [(SiteState.IDLE, "begin", SiteState.COMPUTE)]
+        )
+
     def test_figure1_has_seven_edges(self):
         # Three wait exits, two compute exits plus ready, one idle exit.
         assert len(TransitionLog.FIGURE_1_EDGES) == 7

@@ -8,6 +8,12 @@ commit touches — its items, its in-doubt dependencies, its messages —
 never by how many transactions ran before it, so no count may grow by
 more than 10 % between the two lengths.
 
+The same runs gate memory: after settling, the bytes still held that
+were allocated in the transition log's and the metrics collector's
+modules (``tracemalloc``) must stay within 10 % plus 16 KiB of the
+short run's.  Instrumentation counts; it does not keep a record per
+transaction.
+
 Counts, not seconds: both lengths run in one process on one machine,
 so the ratio does not depend on how fast the machine is.
 
@@ -16,7 +22,9 @@ The shapes mirror the end-to-end benchmark's simulator workloads:
 * ``indoubt`` — eight sites, Poisson updates, and every 4 simulated
   seconds a batch of ten transactions whose coordinator crashes after
   the votes, so polyvalues are installed and polytransactions run;
-* ``steady`` — five sites, the same update stream, no faults.
+* ``steady`` — five sites, the same update stream, no faults;
+* ``paxos`` — ``steady``'s shape under Paxos Commit;
+* ``paxos-indoubt`` — ``indoubt``'s shape under Paxos Commit.
 
 Run one shape by hand with ``PYTHONPATH=src python
 tests/test_work_per_commit.py indoubt``.
@@ -25,6 +33,8 @@ tests/test_work_per_commit.py indoubt``.
 from __future__ import annotations
 
 import cProfile
+import functools
+import gc
 import json
 import os
 import pathlib
@@ -32,6 +42,7 @@ import pstats
 import random
 import subprocess
 import sys
+import tracemalloc
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -42,11 +53,19 @@ SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 MAX_GROWTH = 0.10
 LENGTHS = (1, 4)
 
-#: shape -> (sites, items, seconds of arrivals at 1x, mean dependencies,
-#: seconds between in-doubt batches or None).
-SHAPES: Dict[str, Tuple[int, int, float, float, Optional[float]]] = {
-    "indoubt": (8, 400, 8.0, 2.0, 4.0),
-    "steady": (5, 200, 4.0, 1.0, None),
+#: Retained bytes the long run may hold beyond the short run's share.
+MAX_RETAINED_GROWTH = 0.10
+RETAINED_SLACK = 16 * 1024
+#: Modules whose retained allocations the memory gate sums.
+RETAINED_IN = ("repro/txn/runtime.py", "repro/metrics/collector.py")
+
+#: shape -> (commit protocol, sites, items, seconds of arrivals at 1x,
+#: mean dependencies, seconds between in-doubt batches or None).
+SHAPES: Dict[str, Tuple[str, int, int, float, float, Optional[float]]] = {
+    "indoubt": ("polyvalue", 8, 400, 8.0, 2.0, 4.0),
+    "steady": ("polyvalue", 5, 200, 4.0, 1.0, None),
+    "paxos": ("paxos", 5, 200, 4.0, 1.0, None),
+    "paxos-indoubt": ("paxos", 8, 400, 8.0, 2.0, 4.0),
 }
 RATE = 200.0
 VICTIMS = 10
@@ -57,7 +76,7 @@ DOWN_FOR = 3.0
 
 
 def _events(shape: str, length: int) -> Tuple[List[Tuple[float, str, Any]], List[str]]:
-    sites, items, seconds, dependency_mean, every = SHAPES[shape]
+    _, sites, items, seconds, dependency_mean, every = SHAPES[shape]
     names = [f"item-{index:04d}" for index in range(items)]
     duration = seconds * length
     rng = random.Random(0)
@@ -100,13 +119,31 @@ def _update(target: str, deps: Tuple[str, ...], salt: int):
     return Transaction(body=body, items=tuple(dict.fromkeys((target,) + deps)))
 
 
-def measure(shape: str, length: int) -> Dict[str, float]:
-    """Per-commit calls, events and messages of one seeded run."""
-    from repro.api import DistributedSystem, TxnStatus
+def _retained(snapshot: tracemalloc.Snapshot) -> Dict[str, int]:
+    """Bytes still held per :data:`RETAINED_IN` module, charged to the
+    frame that allocated them."""
+    retained = dict.fromkeys(RETAINED_IN, 0)
+    for stat in snapshot.statistics("filename"):
+        filename = pathlib.PurePath(stat.traceback[0].filename).as_posix()
+        for module in RETAINED_IN:
+            if filename.endswith(module):
+                retained[module] += stat.size
+    return retained
+
+
+def measure(shape: str, length: int) -> Dict[str, Any]:
+    """Per-commit calls, events and messages of one seeded run, and the
+    bytes it still holds after settling."""
+    from repro.api import DistributedSystem, TxnStatus, config_for_protocol
 
     events, names = _events(shape, length)
+    protocol, sites = SHAPES[shape][:2]
+    tracemalloc.start()
     system = DistributedSystem.build(
-        sites=SHAPES[shape][0], items={name: 1 for name in names}, seed=0
+        sites=sites,
+        items={name: 1 for name in names},
+        seed=0,
+        config=config_for_protocol(protocol),
     )
     handles = []
     profile = cProfile.Profile()
@@ -122,6 +159,9 @@ def measure(shape: str, length: int) -> Dict[str, float]:
             system.recover_site(payload)
     settled = system.settle(max_time=events[-1][0] + 60.0)
     profile.disable()
+    gc.collect()
+    retained = _retained(tracemalloc.take_snapshot())
+    tracemalloc.stop()
     committed = sum(h.status is TxnStatus.COMMITTED for h in handles)
     return {
         "settled": settled,
@@ -129,10 +169,12 @@ def measure(shape: str, length: int) -> Dict[str, float]:
         "calls": pstats.Stats(profile).total_calls / committed,
         "events": system.sim.events_processed / committed,
         "messages": system.network.stats.sent / committed,
+        "retained": retained,
     }
 
 
-def _measure_fresh(shape: str) -> Dict[int, Dict[str, float]]:
+@functools.lru_cache(maxsize=None)
+def _measure_fresh(shape: str) -> Dict[int, Dict[str, Any]]:
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(SRC_DIR))
     out = subprocess.run(
         [sys.executable, __file__, shape],
@@ -160,6 +202,22 @@ def test_per_commit_work_does_not_grow_with_history(shape):
         f"{shape}: per-commit work grew with history "
         f"({LENGTHS[0]}x -> {LENGTHS[1]}x ratios {grown}; "
         f"short {short}, long {long})"
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_retained_memory_does_not_grow_with_history(shape):
+    runs = _measure_fresh(shape)
+    short, long = (runs[length]["retained"] for length in LENGTHS)
+    grown = {
+        module: (short[module], long[module])
+        for module in RETAINED_IN
+        if long[module] > short[module] * (1 + MAX_RETAINED_GROWTH) + RETAINED_SLACK
+    }
+    assert not grown, (
+        f"{shape}: retained bytes grew with history "
+        f"({LENGTHS[0]}x -> {LENGTHS[1]}x bytes {grown})"
     )
 
 
