@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import fields
-from typing import Any, Dict, Type
+from typing import Any, Dict, Tuple, Type
 
 from repro.core.errors import ReproError
 from repro.core.polyvalue import is_polyvalue
@@ -46,11 +46,22 @@ MESSAGE_TYPES: Dict[str, Type] = {
     for cls in {**PaxosSite.HANDLERS, **PathSensitiveSite.HANDLERS}
 }
 
+#: Each registered class's field names, in declaration order: what
+#: :func:`encode_message` reads instead of reflecting on every message.
+_FIELD_NAMES: Dict[Type, Tuple[str, ...]] = {
+    cls: tuple(spec.name for spec in fields(cls))
+    for cls in MESSAGE_TYPES.values()
+}
+#: Field types that JSON carries as they are.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
 _TUPLE_TAG = "__tuple__"
 _MAP_TAG = "__map__"
 
 
 def _encode_field(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, tuple):
         return {_TUPLE_TAG: [_encode_field(item) for item in value]}
     if isinstance(value, Mapping):
@@ -81,15 +92,13 @@ def _decode_field(value: Any) -> Any:
 
 def encode_message(message: Any) -> Dict[str, Any]:
     """One protocol message as a JSON-safe ``{"type", "fields"}`` dict."""
-    name = type(message).__name__
-    if name not in MESSAGE_TYPES:
-        raise WireError(f"unregistered message type {name!r}")
+    cls = type(message)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        raise WireError(f"unregistered message type {cls.__name__!r}")
     return {
-        "type": name,
-        "fields": {
-            spec.name: _encode_field(getattr(message, spec.name))
-            for spec in fields(message)
-        },
+        "type": cls.__name__,
+        "fields": {name: _encode_field(getattr(message, name)) for name in names},
     }
 
 

@@ -9,10 +9,18 @@ The live transport (stdlib only):
   protocol.
 * **Transport** — one TCP server per site on localhost (ephemeral
   ports by default), messages as 4-byte big-endian length-prefixed
-  JSON frames (codec in :mod:`repro.live.wire`).  Outbound connections
-  are cached per recipient and re-opened once on failure; beyond that
-  a send is simply lost, which is exactly the delivery contract the
-  protocols are designed for.
+  JSON frames (codec in :mod:`repro.live.wire`).  :meth:`send` appends
+  the frame to the recipient's outbox, and the first send of a loop tick
+  arms one ``call_soon`` flush that hands every peer its buffered frames
+  as a single write on its cached connection.  A peer without a
+  connection gets one task that opens it and then writes whatever
+  queued meanwhile.  A broken connection is re-opened once; beyond that
+  the frames are simply lost, which is exactly the delivery contract the
+  protocols are designed for.  A stalled peer cannot grow memory: while
+  its connection's write buffer is above the transport's high-water
+  mark, the flush drops that peer's frames and counts them lost.  The
+  receiving side reads whatever bytes have arrived, dispatches every
+  complete frame in order and keeps a partial tail for the next read.
 * **Durability** — with a data directory, site S's files are a
   compacted snapshot ``<data_dir>/site-<S>.json`` plus a log
   ``<data_dir>/site-<S>.log``.  After every timer fire and every inbound
@@ -28,14 +36,16 @@ The live transport (stdlib only):
   and is dropped, anything else unreadable is a
   :class:`~repro.runtime.base.DurableStateError`, never an empty boot.
   Without a data directory the snapshot is taken at :meth:`mark_down`
-  and held in memory until the restart (the base-class default).  Sends
-  only enqueue an asyncio task, and tasks cannot run before the
-  current callback (its log append included) returns — so durable
-  state always reaches the log *before* any message provoked by it
-  reaches a socket.  That ordering is what makes the coordinator's "log
-  the outcome, then send complete" and the participant's "stage
-  durably, then send ready" hold on the live runtime with no changes to
-  the protocol code.  Records are flushed to the OS, not fsynced.
+  and held in memory until the restart (the base-class default).  A
+  timer fire or an inbound dispatch ends with its site's checkpoint,
+  whose record is flushed to the OS before that callback returns, while
+  a frame reaches a socket only in the flush callback (or a connect
+  task) that the loop runs after it — so durable state always reaches
+  the log *before* any message provoked by it reaches a socket.  That
+  ordering is what makes the coordinator's "log the outcome, then send
+  complete" and the participant's "stage durably, then send ready" hold
+  on the live runtime with no changes to the protocol code.  Records
+  are flushed to the OS, not fsynced.
 * **Fault injection** — :meth:`mark_down`/:meth:`mark_up` emulate a
   crashed process (all inbound and outbound frames dropped), and
   :meth:`set_fault` installs a predicate that selectively drops
@@ -55,7 +65,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.core.errors import SimulationError
 from repro.net.message import Envelope, SiteId
@@ -71,6 +81,10 @@ from repro.sim.rand import Rng
 
 #: A log record's header: body length and the body's CRC32, big-endian.
 _RECORD_HEADER = struct.Struct(">II")
+#: A frame's header: the body length, big-endian.
+_FRAME_HEADER = struct.Struct(">I")
+#: The most bytes one read of an inbound connection takes.
+_READ_SIZE = 1 << 18
 _MISSING = object()
 
 
@@ -155,6 +169,8 @@ def _records(data: bytes, path: str) -> Iterator[Dict[str, Any]]:
 class TransportStats:
     """Counters for the live transport (mirrors NetworkStats in spirit).
 
+    ``writes`` counts socket writes (one per flush per peer, however many
+    frames it carries), so ``sent / writes`` is frames per write.
     ``checkpoints`` counts durable writes: log records plus compactions
     (site files rewritten); ``log_bytes`` is what the records appended.
     """
@@ -163,6 +179,7 @@ class TransportStats:
     delivered: int = 0
     dropped: int = 0
     reconnects: int = 0
+    writes: int = 0
     checkpoints: int = 0
     compactions: int = 0
     log_bytes: int = 0
@@ -175,6 +192,7 @@ class TransportStats:
             "delivered": self.delivered,
             "dropped": self.dropped,
             "reconnects": self.reconnects,
+            "writes": self.writes,
             "checkpoints": self.checkpoints,
             "compactions": self.compactions,
             "log_bytes": self.log_bytes,
@@ -241,7 +259,12 @@ class AsyncioRuntime(Runtime):
         self._servers: Dict[SiteId, asyncio.AbstractServer] = {}
         self._ports: Dict[SiteId, int] = {}
         self._writers: Dict[SiteId, asyncio.StreamWriter] = {}
-        self._conn_locks: Dict[SiteId, asyncio.Lock] = {}
+        #: Per recipient: frames sent and not yet written, waiting for
+        #: the armed flush or for the recipient's connect task.
+        self._outboxes: Dict[SiteId, List[bytes]] = {}
+        self._flush_handle: Optional[asyncio.Handle] = None
+        #: Recipients whose connect task owns their connection.
+        self._connecting: Set[SiteId] = set()
         self._down: Set[SiteId] = set()
         self._tasks: Set = set()
         #: What :meth:`quiescent` watches: frames sent and not yet
@@ -279,13 +302,22 @@ class AsyncioRuntime(Runtime):
         return port
 
     async def close(self) -> None:
-        """Tear down servers, cached connections, and in-flight sends."""
+        """Tear down servers, cached connections, and in-flight sends.
+
+        Frames still in an outbox, or queued behind a connect, are
+        counted as dropped, so ``sent == delivered + dropped`` for every
+        frame that never reached a socket.
+        """
+        self._retire_outboxes()
         tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._tasks.clear()
+        self._connecting.clear()
+        # Anything a callback sent while the tasks wound down.
+        self._retire_outboxes()
         for server in self._servers.values():
             server.close()
         for server in self._servers.values():
@@ -374,10 +406,16 @@ class AsyncioRuntime(Runtime):
             self.stats.dropped += 1
             self.stats.errors.append(f"encode to {recipient}: {exc!r}")
             return
-        frame = len(blob).to_bytes(4, "big") + blob
+        frame = _FRAME_HEADER.pack(len(blob)) + blob
         self.stats.sent += 1
         self._in_flight += 1
-        self._spawn(self._deliver(recipient, frame))
+        outbox = self._outboxes.get(recipient)
+        if outbox is None:
+            self._outboxes[recipient] = [frame]
+        else:
+            outbox.append(frame)
+        if self._flush_handle is None:
+            self._flush_handle = self._loop.call_soon(self._flush)
 
     def register(self, site: SiteId, handler: Callable[[Any], None]) -> None:
         self._handlers[site] = handler
@@ -511,10 +549,84 @@ class AsyncioRuntime(Runtime):
     # ------------------------------------------------------------------
     # Transport internals
 
-    def _spawn(self, coro) -> None:
-        task = self._loop.create_task(coro)
+    def _flush(self) -> None:
+        """The armed flush: each peer's buffered frames as one write.
+
+        It runs as its own loop callback, after the callbacks whose
+        sends it carries have checkpointed.  A peer whose connection is
+        still opening keeps its frames for its connect task; one with
+        no connection, or a broken one, gets a connect task.
+        """
+        self._flush_handle = None
+        outboxes = self._outboxes
+        for peer, frames in list(outboxes.items()):
+            if peer in self._connecting:
+                continue
+            writer = self._writers.get(peer)
+            if writer is None:
+                self._open(peer, reconnect=False)
+                continue
+            del outboxes[peer]
+            transport = writer.transport
+            if (
+                transport.get_write_buffer_size()
+                > transport.get_write_buffer_limits()[1]
+            ):
+                self._lose(len(frames))  # a stalled peer
+            elif not self._write(writer, frames):
+                del self._writers[peer]
+                outboxes[peer] = frames
+                self._open(peer, reconnect=True)
+
+    def _write(self, writer: asyncio.StreamWriter, frames: List[bytes]) -> bool:
+        """Write *frames* as one transport write; False, with *writer*
+        closed and nothing written, if the connection is broken."""
+        if not writer.is_closing():
+            writer.write(b"".join(frames))
+            self.stats.writes += 1
+            # A send that fails at once closes the transport right here.
+            if not writer.is_closing():
+                return True
+        writer.close()
+        return False
+
+    def _open(self, peer: SiteId, *, reconnect: bool) -> None:
+        """Start *peer*'s connect task; it owns the peer's connection
+        until it has written the peer's outbox."""
+        self._connecting.add(peer)
+        task = self._loop.create_task(self._connect(peer, reconnect))
         self._tasks.add(task)
         task.add_done_callback(self._reap)
+
+    async def _connect(self, peer: SiteId, reconnect: bool) -> None:
+        """Open *peer*'s connection and write everything queued for it.
+
+        Frames get one reconnect: after a broken cached connection
+        (*reconnect*), or after a fresh connection that fails its first
+        write.  A connect that fails, or a second broken connection,
+        loses the queue.
+        """
+        try:
+            while True:
+                try:
+                    _, writer = await asyncio.open_connection(
+                        self.host, self._ports[peer]
+                    )
+                except OSError:
+                    break
+                if reconnect:
+                    self.stats.reconnects += 1
+                frames = self._outboxes.pop(peer)
+                if self._write(writer, frames):
+                    self._writers[peer] = writer
+                    return
+                self._outboxes[peer] = frames
+                if reconnect:
+                    break
+                reconnect = True
+            self._lose(len(self._outboxes.pop(peer)))
+        finally:
+            self._connecting.discard(peer)
 
     def _reap(self, task) -> None:
         self._tasks.discard(task)
@@ -524,44 +636,25 @@ class AsyncioRuntime(Runtime):
         if exc is not None:  # pragma: no cover - defensive
             self.stats.errors.append(f"task: {exc!r}")
 
-    async def _deliver(self, recipient: SiteId, frame: bytes) -> None:
-        lock = self._conn_locks.setdefault(recipient, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(recipient)
-            for attempt in (0, 1):
-                if writer is None:
-                    try:
-                        _, writer = await asyncio.open_connection(
-                            self.host, self._ports[recipient]
-                        )
-                    except OSError:
-                        self._lose_frame()
-                        return
-                    if attempt:
-                        self.stats.reconnects += 1
-                    self._writers[recipient] = writer
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                    return
-                except (ConnectionError, OSError):
-                    self._writers.pop(recipient, None)
-                    try:
-                        writer.close()
-                    except Exception:  # pragma: no cover - teardown
-                        pass
-                    writer = None
-            self._lose_frame()
+    def _retire_outboxes(self) -> None:
+        """Cancel the armed flush and count every unwritten frame as
+        lost: at teardown nothing will write them."""
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        retired = sum(len(frames) for frames in self._outboxes.values())
+        self._outboxes.clear()
+        self._lose(retired)
 
-    def _lose_frame(self) -> None:
-        """A sent frame that will never reach :meth:`_dispatch`."""
-        self._in_flight -= 1
-        self._drop()
+    def _lose(self, frames: int) -> None:
+        """Sent frames that will never reach :meth:`_dispatch`."""
+        self._in_flight -= frames
+        self._drop(frames)
 
-    def _drop(self) -> None:
-        """Count a frame retired unhandled: the cluster may just have
+    def _drop(self, frames: int = 1) -> None:
+        """Count frames retired unhandled: the cluster may just have
         gone quiet."""
-        self.stats.dropped += 1
+        self.stats.dropped += frames
         if self._logs:
             self._fold_logs_if_quiescent()
 
@@ -574,15 +667,26 @@ class AsyncioRuntime(Runtime):
             # leaving it for noisy event-loop teardown.
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
+        tail = b""
         try:
             while True:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "big")
-                body = await reader.readexactly(length)
-                self._dispatch(body)
+                chunk = await reader.read(_READ_SIZE)
+                if not chunk:
+                    return  # EOF; a partial frame left here was never whole
+                data = tail + chunk if tail else chunk
+                size = len(data)
+                offset = 0
+                while size - offset >= _FRAME_HEADER.size:
+                    start = offset + _FRAME_HEADER.size
+                    end = start + _FRAME_HEADER.unpack_from(data, offset)[0]
+                    if end > size:
+                        break
+                    self._dispatch(data[start:end])
+                    offset = end
+                tail = data[offset:]
         except asyncio.CancelledError:
             pass  # runtime is closing; end the connection quietly
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+        except (ConnectionError, OSError):
             pass
         finally:
             try:

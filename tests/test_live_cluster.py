@@ -9,7 +9,9 @@ the wait-timeout/outcome-query paths fire within test budgets.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import sys
 
 import pytest
 
@@ -17,6 +19,8 @@ from repro.check import CheckContext, check_converged, failed
 from repro.core.serialize import decode_state
 from repro.live import ClusterThread, LiveCluster, LiveClusterError
 from repro.live.client import poll_txn, request, transfer_script
+from repro.live.wire import encode_envelope
+from repro.net.message import Envelope
 from repro.runtime import AsyncioRuntime
 from repro.txn.config import ProtocolConfig
 from repro.txn.protocol import Complete, OutcomeNotify, Ready
@@ -414,6 +418,235 @@ class TestAsyncioQuiescence:
         assert in_flight == 1
         assert settled and left == 0 and received == []
         assert (stats["sent"], stats["delivered"], stats["dropped"]) == (1, 0, 1)
+
+
+class TestBatchedTransport:
+    """One buffer per peer, one write per loop tick: what the batching
+    promises, pinned without wall-clock bounds."""
+
+    _pair = staticmethod(TestAsyncioQuiescence._pair)
+    _settled = staticmethod(TestAsyncioQuiescence._settled)
+
+    @staticmethod
+    async def _yields_until(ready, tries=1000):
+        """Bare loop yields until *ready()*; bounded, so a transport that
+        never gets there fails the test instead of hanging it."""
+        for _ in range(tries):
+            if ready():
+                return True
+            await asyncio.sleep(0)
+        return ready()
+
+    @staticmethod
+    def _count_writes(monkeypatch):
+        """The bytes of every transport write, in a list, in order."""
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def counted(writer, data):
+            writes.append(bytes(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+        return writes
+
+    @pytest.mark.parametrize("connected", [False, True], ids=["cold", "warm"])
+    def test_sends_from_one_callback_are_one_write(self, monkeypatch, connected):
+        writes = self._count_writes(monkeypatch)
+        order = [f"T{index}" for index in range(12)]
+
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                if connected:
+                    rt.send("site-0", "site-1", Ready(txn="warm", site="site-0"))
+                    assert await self._settled(rt)
+                    received.clear()
+                written, counted = len(writes), rt.stats.writes
+                for txn in order:
+                    rt.send("site-0", "site-1", Ready(txn=txn, site="site-0"))
+                settled = await self._settled(rt)
+                return (
+                    settled,
+                    len(writes) - written,
+                    rt.stats.writes - counted,
+                    [envelope.payload.txn for envelope in received],
+                )
+            finally:
+                await rt.close()
+
+        assert run(scenario()) == (True, 1, 1, order)
+
+    @staticmethod
+    def _frame(txn):
+        blob = encode_envelope(
+            Envelope(
+                sender="site-0",
+                recipient="site-1",
+                payload=Ready(txn=txn, site="site-0"),
+                sent_at=0.0,
+            )
+        )
+        return len(blob).to_bytes(4, "big") + blob
+
+    def test_reader_dispatches_every_frame_once_however_the_bytes_arrive(self):
+        many = [f"M{index}" for index in range(40)]
+        whole = b"".join(self._frame(txn) for txn in many)
+        split = self._frame("S")
+        # The second read completes the header and starts the body.
+        parts = [split[:2], split[2:30], split[30:]]
+
+        class Sink:
+            def close(self):
+                pass
+
+        async def scenario():
+            rt, received = await self._pair()
+            reader = asyncio.StreamReader()
+            chunks = []
+            read = reader.read
+
+            async def recorded(limit):
+                chunk = await read(limit)
+                chunks.append(chunk)
+                return chunk
+
+            reader.read = recorded
+            rt._in_flight += len(many) + 1  # the frames "on the wire"
+            serving = asyncio.ensure_future(rt._serve_connection(reader, Sink()))
+            try:
+                for data in [whole] + parts:
+                    reader.feed_data(data)
+                    seen = len(chunks)
+                    await self._yields_until(lambda: len(chunks) > seen)
+                reader.feed_eof()
+                await serving
+                return chunks, [envelope.payload.txn for envelope in received], rt
+            finally:
+                await rt.close()
+
+        chunks, txns, rt = run(scenario())
+        assert chunks == [whole] + parts + [b""]
+        assert txns == many + ["S"]
+        assert rt.quiescent() and rt.stats.delivered == len(many) + 1
+
+    def test_log_record_reaches_the_file_before_its_frame_reaches_a_socket(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "site-site-0.log"
+        seen = []  # per socket write: the steps the log held at that moment
+        write = asyncio.StreamWriter.write
+
+        def logged_steps():
+            data = log.read_bytes() if log.exists() else b""
+            steps, offset = [], 0
+            while offset < len(data):
+                length = int.from_bytes(data[offset:offset + 4], "big")
+                record = json.loads(data[offset + 8:offset + 8 + length])
+                steps.append(record["set"]["step"])
+                offset += 8 + length
+            return steps
+
+        def recording(writer, data):
+            seen.append((logged_steps(), bytes(data)))
+            return write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", recording)
+        # Padded so that a record is smaller than the site file: the
+        # change is appended to the log, not compacted into the file.
+        state = {"step": 0, "padding": "x" * 200}
+
+        async def scenario():
+            rt = AsyncioRuntime(data_dir=str(tmp_path))
+            await rt.start()
+            received = []
+            for site in ("site-0", "site-1"):
+                await rt.listen(site)
+            rt.register("site-1", received.append)
+            rt.attach_durability("site-0", lambda: dict(state))
+            rt.checkpoint("site-0")  # the site file: records follow it
+
+            def act(step):
+                state["step"] = step
+                rt.send("site-0", "site-1", Ready(txn=f"T{step}", site="site-0"))
+
+            try:
+                # Step 1 opens the connection (its task writes the frame);
+                # step 2 rides the cached connection (the flush writes it).
+                for step in (1, 2):
+                    rt.schedule(0.0, lambda: act(step), site="site-0")
+                    assert await self._settled(rt) and len(received) == step
+                return rt.stats.as_dict()
+            finally:
+                await rt.close()
+
+        stats = run(scenario())
+        assert [(steps, f'"txn":"T{step}"'.encode() in data)
+                for step, (steps, data) in zip((1, 2), seen)] == [
+            ([1], True),
+            ([2], True),  # the quiet point after step 1 folded its record
+        ]
+        assert stats["writes"] == 2 and stats["compactions"] >= 2
+
+    def test_close_retires_buffered_and_connecting_frames(
+        self, monkeypatch, caplog, recwarn
+    ):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        async def scenario():
+            rt, received = await self._pair()
+            rt.send("site-0", "site-1", Ready(txn="warm", site="site-0"))
+            assert await self._settled(rt)
+            # Two frames queue behind site-0's connect task ...
+            rt.send("site-1", "site-0", Ready(txn="A", site="site-1"))
+            rt.send("site-1", "site-0", Ready(txn="B", site="site-1"))
+            assert await self._yields_until(lambda: "site-0" in rt._connecting)
+            rt.send("site-1", "site-0", Ready(txn="C", site="site-1"))
+            # ... and three wait in site-1's outbox for the armed flush.
+            for txn in ("D", "E", "F"):
+                rt.send("site-0", "site-1", Ready(txn=txn, site="site-0"))
+            await rt.close()
+            return rt, len(received), len(asyncio.all_tasks())
+
+        with caplog.at_level("WARNING", logger="asyncio"):
+            rt, delivered, tasks = run(scenario())
+            gc.collect()
+        stats = rt.stats.as_dict()
+        assert delivered == 1 and tasks == 1  # only the scenario itself
+        assert rt._in_flight == 0 and rt.quiescent() and not rt._tasks
+        assert (stats["sent"], stats["delivered"], stats["dropped"]) == (7, 1, 6)
+        assert stats["sent"] == stats["delivered"] + stats["dropped"]
+        assert not caplog.records and not unraisable and not recwarn.list
+
+    def test_a_stalled_peer_loses_frames_instead_of_buffering_them(self):
+        async def scenario():
+            rt, received = await self._pair()
+            try:
+                rt.send("site-0", "site-1", Ready(txn="warm", site="site-0"))
+                assert await self._settled(rt)
+                transport = rt._writers["site-1"].transport
+                high = transport.get_write_buffer_limits()[1]
+                # The peer stopped reading: its write buffer is past the
+                # transport's high-water mark.
+                transport.get_write_buffer_size = lambda: high + 1
+                writes = rt.stats.writes
+                for txn in ("A", "B", "C"):
+                    rt.send("site-0", "site-1", Ready(txn=txn, site="site-0"))
+                await asyncio.sleep(0)  # the flush
+                stalled = (
+                    rt.quiescent(), rt.stats.writes - writes, rt.stats.dropped
+                )
+                del transport.get_write_buffer_size  # the peer drained
+                rt.send("site-0", "site-1", Ready(txn="D", site="site-0"))
+                settled = await self._settled(rt)
+                return stalled, settled, [e.payload.txn for e in received]
+            finally:
+                await rt.close()
+
+        stalled, settled, txns = run(scenario())
+        assert stalled == (True, 0, 3)
+        assert settled and txns == ["warm", "D"]
 
 
 class TestOneRootServesBothRuntimes:
