@@ -8,8 +8,11 @@ the contract that an *unobserved* system — bus present, no subscribers
 entirely, and that observation changes nothing but what is observed.
 
 Timing guards use best-of-N wall-clock minima (the low-noise estimator
-for "how fast can this go"); the thresholds carry a small absolute
-slack so sub-millisecond scheduler jitter cannot flake them.
+for "how fast can this go"), taken with the two arms measured
+alternately, round by round, the same number of times each, so a slow
+stretch of the machine lands on both arms instead of on whichever ran
+then; the thresholds carry a small absolute slack so sub-millisecond
+scheduler jitter cannot flake them.
 """
 
 import time
@@ -52,14 +55,28 @@ def _drive(system, transactions=60):
     system.run_to_quiescence(max_time=system.sim.now + 2.0)
 
 
-def _best_of(builder, rounds=7):
-    best = float("inf")
-    for _ in range(rounds):
+def _alternating_best(baseline, candidate, rounds):
+    """The best of *rounds* timings of each arm, measured alternately:
+    each round runs both arms once, the first of them taking turns.
+    An arm is a callable taking the round index and returning seconds."""
+    arms = (baseline, candidate)
+    best = [float("inf"), float("inf")]
+    for round_index in range(rounds):
+        for arm in (0, 1) if round_index % 2 == 0 else (1, 0):
+            best[arm] = min(best[arm], arms[arm](round_index))
+    return best[0], best[1]
+
+
+def _timed_drive(builder):
+    """An arm timing one :func:`_drive` of a system *builder* makes."""
+
+    def arm(round_index):
         system = builder()
         start = time.perf_counter()
         _drive(system)
-        best = min(best, time.perf_counter() - start)
-    return best
+        return time.perf_counter() - start
+
+    return arm
 
 
 class TestUnobservedOverhead:
@@ -69,10 +86,9 @@ class TestUnobservedOverhead:
             _strip_bus(system)
             return system
 
-        # Interleave measurement orders so drift hits both arms alike.
-        busless = _best_of(stripped)
-        unobserved = _best_of(_build_system)
-        busless = min(busless, _best_of(stripped))
+        busless, unobserved = _alternating_best(
+            _timed_drive(stripped), _timed_drive(_build_system), rounds=25
+        )
         # 5% relative plus 2ms absolute slack for timer granularity.
         assert unobserved <= busless * 1.05 + 0.002, (
             f"unobserved run {unobserved * 1000:.2f}ms vs bus-free "
@@ -97,9 +113,9 @@ class TestUnobservedOverhead:
             simulation.run(1000.0)
             return time.perf_counter() - start
 
-        baseline = min(run_one(False) for _ in range(5))
-        unobserved = min(run_one(True) for _ in range(5))
-        baseline = min(baseline, min(run_one(False) for _ in range(2)))
+        baseline, unobserved = _alternating_best(
+            lambda _: run_one(False), lambda _: run_one(True), rounds=12
+        )
         assert unobserved <= baseline * 1.05 + 0.002
 
 
@@ -119,7 +135,7 @@ class TestCampaignRecordingOverhead:
 
     TRIALS = 6
 
-    def _campaign(self, bus):
+    def _campaign(self, bus=None):
         from repro.parallel import run_trials
 
         start = time.perf_counter()
@@ -149,9 +165,9 @@ class TestCampaignRecordingOverhead:
                 recorder.finish(ok=True)
                 store.close()
 
-        bare = min(self._campaign(None) for _ in range(3))
-        with_recorder = min(recorded(i) for i in range(3))
-        bare = min(bare, min(self._campaign(None) for _ in range(2)))
+        bare, with_recorder = _alternating_best(
+            lambda _: self._campaign(), recorded, rounds=16
+        )
         # 5% relative plus 2ms absolute slack for timer granularity.
         assert with_recorder <= bare * 1.05 + 0.002, (
             f"recorded campaign {with_recorder * 1000:.2f}ms vs bare "
@@ -159,9 +175,11 @@ class TestCampaignRecordingOverhead:
         )
 
     def test_no_subscriber_campaign_bus_is_free(self):
-        bare = min(self._campaign(None) for _ in range(3))
-        empty_bus = min(self._campaign(EventBus()) for _ in range(3))
-        bare = min(bare, min(self._campaign(None) for _ in range(2)))
+        bare, empty_bus = _alternating_best(
+            lambda _: self._campaign(),
+            lambda _: self._campaign(EventBus()),
+            rounds=16,
+        )
         assert empty_bus <= bare * 1.05 + 0.002, (
             f"unobserved campaign {empty_bus * 1000:.2f}ms vs bus-free "
             f"{bare * 1000:.2f}ms — the no-subscriber guard got expensive"

@@ -17,12 +17,16 @@ and forwarded, and consumes the :class:`Resolution` produced by
 messages.  Keeping the bookkeeping pure makes the garbage-collection
 property ("data structures used in the mechanism are also quickly
 removed") directly testable.
+
+Both tables are durable site state.  Once a logging runtime asks, each
+marks the transactions whose durable entry it touched (``marks``), so a
+log record renders only those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.core.conditions import TxnId
 
@@ -68,6 +72,9 @@ class OutcomeTable:
 
     def __init__(self) -> None:
         self._entries: Dict[TxnId, _Entry] = {}
+        #: Transactions whose forwarding list changed since the site's
+        #: last log record; None until a logging runtime asks for marks.
+        self.marks: Optional[Set[TxnId]] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -89,6 +96,8 @@ class OutcomeTable:
         of *txn* to *site* when it learns it.
         """
         self._entries.setdefault(txn, _Entry()).forwarded_sites.add(site)
+        if self.marks is not None:
+            self.marks.add(txn)
 
     def remove_dependency(self, txn: TxnId, item: ItemId) -> None:
         """Drop one item dependency (e.g. the item was overwritten with a
@@ -132,6 +141,8 @@ class OutcomeTable:
 
     def clear(self) -> None:
         """Drop every entry (a restart refills the table from its snapshot)."""
+        if self.marks is not None:
+            self.marks.update(self._entries)
         self._entries.clear()
 
     # ------------------------------------------------------------------
@@ -156,6 +167,8 @@ class OutcomeTable:
                 items_to_reduce=frozenset(),
                 sites_to_notify=frozenset(),
             )
+        if entry.forwarded_sites and self.marks is not None:
+            self.marks.add(txn)
         return Resolution(
             txn=txn,
             committed=committed,
@@ -179,11 +192,16 @@ class OutcomeLog:
     def __init__(self) -> None:
         self._outcomes: Dict[TxnId, bool] = {}
         self._unacknowledged: Dict[TxnId, Set[SiteId]] = {}
+        #: Transactions whose entry changed since the site's last log
+        #: record; None until a logging runtime asks for marks.
+        self.marks: Optional[Set[TxnId]] = None
 
     def decide(self, txn: TxnId, committed: bool, participants: Iterable[SiteId]) -> None:
         """Record the decision for *txn* and who still must learn it."""
         self._outcomes[txn] = committed
         self._unacknowledged[txn] = set(participants)
+        if self.marks is not None:
+            self.marks.add(txn)
 
     def outcome_of(self, txn: TxnId) -> bool:
         """The decided outcome of *txn* (KeyError if undecided/forgotten)."""
@@ -198,27 +216,38 @@ class OutcomeLog:
         waiting = self._unacknowledged.get(txn)
         if waiting is None:
             return
-        waiting.discard(site)
+        if site in waiting:
+            waiting.discard(site)
+            if self.marks is not None:
+                self.marks.add(txn)
         if not waiting:
             self.forget(txn)
 
     def forget(self, txn: TxnId) -> None:
         """Drop all record of *txn*."""
-        self._outcomes.pop(txn, None)
+        forgotten = self._outcomes.pop(txn, None) is not None
+        if forgotten and self.marks is not None:
+            self.marks.add(txn)
         self._unacknowledged.pop(txn, None)
 
     def pending(self) -> FrozenSet[TxnId]:
         """Transactions decided but not yet fully acknowledged."""
         return frozenset(self._unacknowledged)
 
-    def entries(self) -> Dict[TxnId, "OutcomeLogEntry"]:
-        """A copy of every retained decision (for snapshots/inspection)."""
+    def entries(
+        self, txns: Optional[Iterable[TxnId]] = None
+    ) -> Dict[TxnId, "OutcomeLogEntry"]:
+        """A copy of every retained decision, or of those among *txns*
+        (for snapshots/inspection)."""
+        outcomes = self._outcomes
+        if txns is not None:
+            outcomes = {txn: outcomes[txn] for txn in txns if txn in outcomes}
         return {
             txn: OutcomeLogEntry(
                 committed=committed,
                 unacknowledged=frozenset(self._unacknowledged.get(txn, ())),
             )
-            for txn, committed in self._outcomes.items()
+            for txn, committed in outcomes.items()
         }
 
     def __len__(self) -> int:
@@ -226,6 +255,8 @@ class OutcomeLog:
 
     def clear(self) -> None:
         """Drop every decision (a restart refills the log from its snapshot)."""
+        if self.marks is not None:
+            self.marks.update(self._outcomes)
         self._outcomes.clear()
         self._unacknowledged.clear()
 

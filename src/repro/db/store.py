@@ -11,11 +11,14 @@ and discarding staged updates is the participant's job
 counters because "number of items with polyvalues" is the paper's
 central metric, and it keeps the JSON encoding of its values, so a
 durable snapshot re-encodes only the items written since the last one.
+Once a logging runtime asks (:attr:`ItemStore.marks`), it also marks
+every item it writes, so a log record renders only those.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping
+from typing import Optional, Set
 
 from repro.core.errors import UnknownItemError
 from repro.core.polyvalue import Value, is_polyvalue
@@ -35,6 +38,9 @@ class ItemStore:
         #: Items created or written since :meth:`encoded_values` last
         #: encoded them.
         self._stale: Set[ItemId] = set(self._values)
+        #: Items created or written since the site's last log record;
+        #: None until a logging runtime asks for marks.
+        self.marks: Optional[Set[ItemId]] = None
         #: Lifetime counters, consumed by the metrics layer.
         self.polyvalues_installed = 0
         self.polyvalues_resolved = 0
@@ -78,6 +84,8 @@ class ItemStore:
             raise UnknownItemError(f"item {item!r} already exists")
         self._values[item] = value
         self._stale.add(item)
+        if self.marks is not None:
+            self.marks.add(item)
         if self._encoded is not None:
             self._encoded[item] = None  # holds the item's place in store order
 
@@ -93,6 +101,8 @@ class ItemStore:
             self.polyvalues_resolved += 1
         self._values[item] = value
         self._stale.add(item)
+        if self.marks is not None:
+            self.marks.add(item)
 
     # ------------------------------------------------------------------
     # Polyvalue accounting
@@ -131,3 +141,9 @@ class ItemStore:
             encoded[item] = encode_value(self._values[item])
         self._stale.clear()
         return dict(encoded)
+
+    def encoded(self, items: Iterable[ItemId]) -> Dict[ItemId, Any]:
+        """The :meth:`encoded_values` entries of *items* alone, encoded
+        in the order given."""
+        values = self._values
+        return {item: encode_value(values[item]) for item in items}

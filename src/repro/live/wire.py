@@ -29,6 +29,7 @@ from repro.core.errors import ReproError
 from repro.core.polyvalue import is_polyvalue
 from repro.core.serialize import decode_value, encode_value
 from repro.net.message import Envelope
+from repro.runtime.base import compact_json
 from repro.txn.pathsensitive import PathSensitiveSite
 from repro.txn.paxos import PaxosSite
 
@@ -117,14 +118,13 @@ def decode_message(data: Mapping[str, Any]) -> Any:
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """One in-flight message as UTF-8 JSON bytes (no length prefix)."""
-    return json.dumps(
+    return compact_json(
         {
             "sender": envelope.sender,
             "recipient": envelope.recipient,
             "sent_at": envelope.sent_at,
             "payload": encode_message(envelope.payload),
-        },
-        separators=(",", ":"),
+        }
     ).encode("utf-8")
 
 

@@ -23,13 +23,17 @@ The live transport (stdlib only):
   complete frame in order and keeps a partial tail for the next read.
 * **Durability** — with a data directory, site S's files are a
   compacted snapshot ``<data_dir>/site-<S>.json`` plus a log
-  ``<data_dir>/site-<S>.log``.  After every timer fire and every inbound
-  dispatch for S, S's registered snapshot is compared with the one last
-  logged and what changed (top-level keys, or the sub-keys of a dict
-  section set or deleted, all as absolute values) is appended to the log
-  as one record: 4-byte length, CRC32, compact JSON; no change writes
-  nothing.  The log is folded into a fresh site file (write-then-rename,
-  then the log is removed) when the runtime becomes :meth:`quiescent`
+  ``<data_dir>/site-<S>.log``.  S's first checkpoint writes its whole
+  snapshot and asks it to mark its durable writes from then on
+  (:meth:`~repro.runtime.base.DurableSource.track_changes`).  After
+  every timer fire and every inbound dispatch for S, the record S
+  renders from its marks alone (top-level sections, or the entries of a
+  dict section set or deleted, all as absolute values) is appended to
+  the log: 4-byte length, CRC32, compact JSON; no marks, or none that
+  changed anything, write nothing.  The runtime keeps what the files
+  hold by replaying each record over it, as a restart does.  The log is
+  folded into a fresh site file (write-then-rename, then the log is
+  removed) when the runtime becomes :meth:`quiescent`
   — so at every quiescent point the site file alone is the state — and
   whenever the log would outgrow the site file.  A restart reads the
   site file and replays the log: a damaged last record is a torn write
@@ -71,6 +75,7 @@ from repro.core.errors import SimulationError
 from repro.net.message import Envelope, SiteId
 from repro.runtime.base import (
     BACKGROUND_LABELS,
+    DurableSource,
     DurableStateError,
     Runtime,
     TimerHandle,
@@ -85,48 +90,12 @@ _RECORD_HEADER = struct.Struct(">II")
 _FRAME_HEADER = struct.Struct(">I")
 #: The most bytes one read of an inbound connection takes.
 _READ_SIZE = 1 << 18
-_MISSING = object()
-
-
-def _change(old: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
-    """The log record that turns snapshot *old* into *new* ({} if equal).
-
-    ``"set"`` holds the top-level keys whose value changed and ``"del"``
-    the removed ones; a section that is a dict on both sides goes under
-    ``"patch"`` as ``[sub-keys set, sub-keys deleted]``.  Every value is
-    absolute, so replaying a record twice, or over a newer snapshot,
-    leaves the newer state.
-    """
-    replaced: Dict[str, Any] = {}
-    patched: Dict[str, Any] = {}
-    for key, value in new.items():
-        before = old.get(key, _MISSING)
-        if value == before:
-            continue
-        if isinstance(value, dict) and isinstance(before, dict):
-            patched[key] = [
-                {
-                    sub: item
-                    for sub, item in value.items()
-                    if before.get(sub, _MISSING) != item
-                },
-                [sub for sub in before if sub not in value],
-            ]
-        else:
-            replaced[key] = value
-    change: Dict[str, Any] = {}
-    if replaced:
-        change["set"] = replaced
-    if patched:
-        change["patch"] = patched
-    removed = [key for key in old if key not in new]
-    if removed:
-        change["del"] = removed
-    return change
 
 
 def _apply(snapshot: Dict[str, Any], change: Dict[str, Any]) -> None:
-    """Replay one :func:`_change` record onto *snapshot* in place."""
+    """Replay one log record (``{"set", "patch", "del"}``, see
+    :class:`~repro.runtime.base.DurableSource`) onto *snapshot* in
+    place."""
     snapshot.update(change.get("set", {}))
     for key, (changed, deleted) in change.get("patch", {}).items():
         section = snapshot.setdefault(key, {})
@@ -272,10 +241,11 @@ class AsyncioRuntime(Runtime):
         self._in_flight = 0
         self._armed: Set[_ProtocolTimer] = set()
         self._fault: Optional[Callable[[Envelope], bool]] = None
-        #: Per site: the snapshot its files hold (site file + log) and
-        #: the size of its site file.
+        #: Per site: the snapshot its files hold (site file + log, kept
+        #: by replaying each record over it), and the bytes its log may
+        #: still take before it outgrows the site file.
         self._logged: Dict[SiteId, Dict[str, Any]] = {}
-        self._snapshot_bytes: Dict[SiteId, int] = {}
+        self._room: Dict[SiteId, int] = {}
         #: Append handles of the logs holding records: empty exactly
         #: when every site file alone holds what was logged.
         self._logs: Dict[SiteId, Any] = {}
@@ -435,38 +405,40 @@ class AsyncioRuntime(Runtime):
     def checkpoint(self, site: SiteId) -> None:
         if not self.durable:
             return
-        provider = self._snapshots.get(site)
-        if provider is not None and site not in self._down:
-            self._persist(site, provider())
+        source = self._sources.get(site)
+        if source is not None and site not in self._down:
+            self._persist(site, source)
         if self._logs:
             self._fold_logs_if_quiescent()
 
-    def _persist(self, site: SiteId, snapshot: Dict[str, Any]) -> None:
-        """Append what changed since *site*'s last logged snapshot.
+    def _persist(self, site: SiteId, source: DurableSource) -> None:
+        """Append the record of what *site* marked since its last one.
 
-        With nothing logged to compare against (the first checkpoint,
-        the first after a restart), or when the record would make the
-        log larger than the site file, write a fresh site file instead.
+        With nothing logged (the first checkpoint, the first after a
+        restart), start *site*'s marks and write its whole snapshot as
+        a fresh site file; when the record would make the log larger
+        than the site file, fold it into a fresh site file instead.
         """
         logged = self._logged.get(site)
         if logged is None:
-            self._compact(site, snapshot)
+            source.track_changes()
+            self._compact(site, source.durable_snapshot())
             return
-        change = _change(logged, snapshot)
+        change = source.durable_record(logged)
         if not change:
             return
         body = dump_snapshot(change).encode()
         record = _RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
-        log = self._logs.get(site)
-        logged_bytes = 0 if log is None else log.tell()
-        if logged_bytes + len(record) > self._snapshot_bytes[site]:
-            self._compact(site, snapshot)
+        _apply(logged, change)
+        if len(record) > self._room[site]:
+            self._compact(site, logged)
             return
+        log = self._logs.get(site)
         if log is None:
             log = self._logs[site] = open(self._log_path(site), "ab")
         log.write(record)
         log.flush()
-        self._logged[site] = snapshot
+        self._room[site] -= len(record)
         self.stats.checkpoints += 1
         self.stats.log_bytes += len(record)
 
@@ -489,7 +461,7 @@ class AsyncioRuntime(Runtime):
             pass
         self._logged[site] = snapshot
         # One byte per character: json.dumps escapes everything non-ASCII.
-        self._snapshot_bytes[site] = len(text)
+        self._room[site] = len(text)
         self.stats.checkpoints += 1
         self.stats.compactions += 1
 

@@ -16,19 +16,21 @@ Design notes
   already satisfy it, so neither implementation wraps its native
   handle — important for the sim path, where handle identity and
   scheduling order must stay bit-identical to the pre-refactor code.
-* **Durability** — a site registers a snapshot provider once
-  (:meth:`Runtime.attach_durability`) and comes back from a crash only
-  through what :meth:`Runtime.load_durable` returns.  The runtime
-  decides when the snapshot is taken: a runtime without storage of its
-  own (the simulator, a live cluster with no data directory) takes it
-  at :meth:`Runtime.mark_down` — the instant of the crash — and holds
-  the text until the restart; the asyncio runtime with a data directory
-  checkpoints after every timer fire and every message delivery,
-  *before* any message scheduled by that action reaches a socket —
-  giving the write-ahead ordering the protocol's recovery story assumes
-  (e.g. the coordinator's outcome-log record is on disk before any
-  *complete* message is sent).  Held or on disk, the snapshot is the
-  same text (:func:`dump_snapshot` / :func:`parse_snapshot`).
+* **Durability** — a site registers itself once as a
+  :class:`DurableSource` (:meth:`Runtime.attach_durability`) and comes
+  back from a crash only through what :meth:`Runtime.load_durable`
+  returns.  The runtime decides when state is taken: a runtime without
+  storage of its own (the simulator, a live cluster with no data
+  directory) takes the whole snapshot at :meth:`Runtime.mark_down` —
+  the instant of the crash — and holds the text until the restart; the
+  asyncio runtime with a data directory asks the site to mark what it
+  writes and, after every timer fire and every message delivery, logs
+  the record of what was marked, *before* any message scheduled by
+  that action reaches a socket — giving the write-ahead ordering the
+  protocol's recovery story assumes (e.g. the coordinator's
+  outcome-log record is on disk before any *complete* message is
+  sent).  Held or on disk, the snapshot is the same text
+  (:func:`dump_snapshot` / :func:`parse_snapshot`).
 * **RNG** hands out named deterministic streams
   (:meth:`Runtime.rng`) so workload generators and relaxed-policy coin
   flips are reproducible per seed on either runtime.
@@ -55,9 +57,14 @@ class DurableStateError(ReproError):
     """
 
 
+#: ``json.dumps(obj, separators=(",", ":"))``, with the encoder built
+#: once instead of on every call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def dump_snapshot(snapshot: Dict[str, Any]) -> str:
     """The text form of a site's durable snapshot (held or on disk)."""
-    return json.dumps(snapshot, separators=(",", ":"))
+    return compact_json(snapshot)
 
 
 def parse_snapshot(text: str | bytes, source: str) -> Dict[str, Any]:
@@ -71,6 +78,35 @@ def parse_snapshot(text: str | bytes, source: str) -> Dict[str, Any]:
     if not isinstance(snapshot, dict):
         raise DurableStateError(f"{source}: not a JSON object")
     return snapshot
+
+
+class DurableSource(Protocol):
+    """What a site registers with :meth:`Runtime.attach_durability`.
+
+    A *record* is the change from one snapshot to a later one:
+    ``{"set": {section: value}, "patch": {section: [entries set, keys
+    deleted]}}`` (either part left out when empty, ``{}`` for no
+    change), every value absolute, so replaying it twice leaves the
+    later state.
+    """
+
+    def durable_snapshot(self) -> Dict[str, Any]:  # pragma: no cover
+        """The whole durable state, as a JSON-serialisable dict."""
+        ...
+
+    def track_changes(self) -> None:  # pragma: no cover
+        """Mark, from now on, every write to durable state, starting
+        from no marks."""
+        ...
+
+    def durable_record(
+        self, logged: Dict[str, Any]
+    ) -> Dict[str, Any]:  # pragma: no cover
+        """The record that turns *logged* — the snapshot as it stood at
+        the last :meth:`track_changes` with every record since replayed
+        over it — into the current state, built from the marks alone;
+        the marks are then cleared."""
+        ...
 
 
 @runtime_checkable
@@ -95,7 +131,7 @@ class Runtime:
     durable: bool = False
 
     def __init__(self) -> None:
-        self._snapshots: Dict[SiteId, Callable[[], Dict[str, Any]]] = {}
+        self._sources: Dict[SiteId, DurableSource] = {}
         #: Snapshot text taken at a crash, held for the restart.
         self._held: Dict[SiteId, str] = {}
 
@@ -161,20 +197,18 @@ class Runtime:
     # ------------------------------------------------------------------
     # Durability hooks
 
-    def attach_durability(
-        self, site: SiteId, snapshot: Callable[[], Dict[str, Any]]
-    ) -> None:
-        """Register *site*'s durable-state snapshot provider."""
-        self._snapshots[site] = snapshot
+    def attach_durability(self, site: SiteId, source: DurableSource) -> None:
+        """Register *site*'s durable state."""
+        self._sources[site] = source
 
     def checkpoint(self, site: SiteId) -> None:
         """Persist *site*'s durable state now (no-op when not durable)."""
 
     def _hold_durable(self, site: SiteId) -> None:
         """Take *site*'s snapshot now and hold its text for the restart."""
-        provider = self._snapshots.get(site)
-        if provider is not None:
-            self._held[site] = dump_snapshot(provider())
+        source = self._sources.get(site)
+        if source is not None:
+            self._held[site] = dump_snapshot(source.durable_snapshot())
 
     def load_durable(self, site: SiteId) -> Optional[Dict[str, Any]]:
         """The snapshot *site* restarts from, or None when it has never

@@ -112,6 +112,8 @@ class Coordinator:
         """Start coordinating *transaction*; returns its new identifier."""
         rt = self._rt
         self.sequence += 1
+        if rt.marks is not None:
+            rt.marks.whole.add("sequence")
         txn = make_txn_id(self.sequence, rt.site_id)
         handle.txn = txn
         involved = rt.catalog.group_by_site(transaction.items)
@@ -299,6 +301,8 @@ class Coordinator:
         # true outcome by querying.
         rt.outcome_log.decide(record.txn, True, participants=record.involved)
         rt.known_outcomes[record.txn] = True
+        if rt.marks is not None:
+            rt.marks.keys["known_outcomes"].add(record.txn)
         for site in record.involved:
             rt.send(site, protocol.Complete(txn=record.txn))
         rt.report_committed(record.handle, record.outputs)
@@ -311,6 +315,8 @@ class Coordinator:
         # Presumed abort: nothing is logged; queries about unknown
         # transactions are answered "aborted".
         rt.known_outcomes[record.txn] = False
+        if rt.marks is not None:
+            rt.marks.keys["known_outcomes"].add(record.txn)
         for site in record.involved:
             rt.send(site, protocol.Abort(txn=record.txn))
         rt.report_aborted(record.handle, reason)

@@ -207,6 +207,8 @@ class Participant:
         # Durable before the vote leaves this site: a prepared
         # participant must survive its own crash still prepared.
         self._durable_staged[txn] = staged
+        if rt.marks is not None:
+            rt.marks.keys["staged"].add(txn)
         record.state = SiteState.WAIT
         self._transition(record, SiteState.COMPUTE, SiteState.WAIT, "ready")
         record.ready_sent_at = rt.now
@@ -359,7 +361,7 @@ class Participant:
             if not commit:
                 commit = self._relaxed_choice()
             self._rt.metrics.unilateral_decision()
-            self._unilateral[txn] = commit
+            self._decide_unilaterally(txn, commit)
             if commit:
                 self._install_staged(txn, record.staged or {})
             self._transition(record, SiteState.WAIT, SiteState.IDLE, "wait-timeout")
@@ -418,7 +420,7 @@ class Participant:
             elif policy is CommitPolicy.RELAXED:
                 self._rt.metrics.unilateral_decision()
                 commit = self._relaxed_choice()
-                self._unilateral[txn] = commit
+                self._decide_unilaterally(txn, commit)
                 if commit:
                     self._install_staged(txn, staged)
                 else:
@@ -458,9 +460,11 @@ class Participant:
             self._forget(txn)
         if txn in self._unilateral:
             decided = self._unilateral.pop(txn)
+            if self._rt.marks is not None:
+                self._rt.marks.keys["unilateral"].add(txn)
             if decided != committed:
                 self._rt.metrics.inconsistent_decision()
-            self._durable_staged.pop(txn, None)
+            self._unstage(txn)
 
     def pending_outcome_queries(self) -> Set[TxnId]:
         """Transactions whose outcome this participant still needs."""
@@ -494,7 +498,7 @@ class Participant:
         for item, value in staged.items():
             rt.apply_write(item, value)
         rt.locks.release_all(txn)
-        self._durable_staged.pop(txn, None)
+        self._unstage(txn)
 
     def _install_polyvalues(
         self, txn: TxnId, staged: Dict[ItemId, Any], *, live: bool = True
@@ -532,12 +536,14 @@ class Participant:
             in_doubt = Polyvalue.in_doubt(txn, new_value, old_value)
             rt.apply_write(item, in_doubt)
         rt.locks.release_all(txn)
-        self._durable_staged.pop(txn, None)
+        self._unstage(txn)
         # This site was a direct participant of the in-doubt transaction:
         # it is entitled to query the coordinator for the outcome (and,
         # unlike sites that merely received forwarded polyvalues, it is
         # covered by the coordinator's outcome-log retention).
         rt.direct_doubts.add(txn)
+        if rt.marks is not None:
+            rt.marks.whole.add("direct_doubts")
 
     def _log_recovery_timeout(self, txn: TxnId) -> None:
         """Log the wait->idle edge for a transaction resolved at recovery.
@@ -563,7 +569,21 @@ class Participant:
     def _forget(self, txn: TxnId) -> None:
         self._rt.locks.release_all(txn)
         self._active.pop(txn, None)
-        self._durable_staged.pop(txn, None)
+        self._unstage(txn)
+
+    def _unstage(self, txn: TxnId) -> None:
+        """Drop *txn*'s durable staged updates, if any."""
+        if (
+            self._durable_staged.pop(txn, None) is not None
+            and self._rt.marks is not None
+        ):
+            self._rt.marks.keys["staged"].add(txn)
+
+    def _decide_unilaterally(self, txn: TxnId, commit: bool) -> None:
+        """RELAXED policy: record a unilateral decision for audit."""
+        self._unilateral[txn] = commit
+        if self._rt.marks is not None:
+            self._rt.marks.keys["unilateral"].add(txn)
 
     def _transition(
         self,

@@ -238,6 +238,8 @@ class PathSensitiveSite(DatabaseSite):
         # Share the coordinator's sequence so fast-path and coordinated
         # transaction ids never collide.
         self.coordinator.sequence += 1
+        if self.runtime.marks is not None:
+            self.runtime.marks.whole.add("sequence")
         return make_txn_id(self.coordinator.sequence, self.site_id)
 
     def submit(self, transaction: Transaction, handle: TransactionHandle) -> TxnId:

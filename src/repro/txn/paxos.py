@@ -42,7 +42,7 @@ recorded for the protocol-aware decision-consistency oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ProtocolError
 from repro.net.message import SiteId
@@ -240,6 +240,8 @@ class PaxosCoordinator(Coordinator):
         # participant set must survive a coordinator crash so recovery
         # can drive failover for the transaction.
         self._site.registrar[record.txn] = participants
+        if rt.marks is not None:
+            rt.marks.keys["paxos"].add("registrar")
         self._site.board.outputs[record.txn] = record.outputs
         record.awaiting = set(record.involved)
         for site in record.involved:
@@ -335,6 +337,8 @@ class PaxosParticipant(Participant):
             tuple(message.participants),
             tuple(message.acceptors),
         )
+        if rt.marks is not None:
+            rt.marks.keys["paxos"].add("meta")
         self._phase2a(message, PREPARED)
         record.timer = rt.schedule(
             rt.patience.timeout_for(
@@ -374,10 +378,12 @@ class PaxosParticipant(Participant):
             if committed:
                 self._install_staged(txn, self._durable_staged[txn])
             else:
-                self._durable_staged.pop(txn, None)
+                self._unstage(txn)
                 self._rt.locks.release_all(txn)
         super().handle_outcome_known(txn, committed)
-        self._meta.pop(txn, None)
+        marks = self._rt.marks
+        if self._meta.pop(txn, None) is not None and marks is not None:
+            marks.keys["paxos"].add("meta")
 
     def on_recover(self) -> None:
         """Re-enter the wait phase for every undecided staged transaction.
@@ -518,6 +524,8 @@ class PaxosSite(DatabaseSite):
             return  # promised a higher ballot: silently reject
         self._promised[txn] = message.ballot
         self._accepted[(txn, message.instance)] = (message.ballot, message.vote)
+        if rt.marks is not None:
+            rt.marks.keys["paxos"].update(("promised", "accepted"))
         rt.send(
             message.leader,
             Phase2b(
@@ -539,6 +547,8 @@ class PaxosSite(DatabaseSite):
         if message.ballot <= self._promised.get(txn, -1):
             return
         self._promised[txn] = message.ballot
+        if rt.marks is not None:
+            rt.marks.keys["paxos"].add("promised")
         accepted = {
             instance: entry
             for (entry_txn, instance), entry in self._accepted.items()
@@ -722,12 +732,18 @@ class PaxosSite(DatabaseSite):
 
     def _learn_outcome(self, txn: TxnId, committed: bool) -> None:
         super()._learn_outcome(txn, committed)
-        self.registrar.pop(txn, None)
+        marks = self.runtime.marks
+        if self.registrar.pop(txn, None) is not None and marks is not None:
+            marks.keys["paxos"].add("registrar")
         self._proposals.pop(txn, None)
         self._round.pop(txn, None)
-        self._promised.pop(txn, None)
-        for key in [key for key in self._accepted if key[0] == txn]:
+        if self._promised.pop(txn, None) is not None and marks is not None:
+            marks.keys["paxos"].add("promised")
+        accepted = [key for key in self._accepted if key[0] == txn]
+        for key in accepted:
             del self._accepted[key]
+        if accepted and marks is not None:
+            marks.keys["paxos"].add("accepted")
         self.coordinator.forget(txn)
 
     def _answer_outcome_query(
@@ -770,26 +786,39 @@ class PaxosSite(DatabaseSite):
     # Durable state (see DatabaseSite.durable_snapshot)
     # ------------------------------------------------------------------
 
-    def durable_snapshot(self) -> Dict[str, object]:
-        snapshot = super().durable_snapshot()
+    DURABLE_SECTIONS = {
+        **DatabaseSite.DURABLE_SECTIONS,
+        "paxos": "_render_paxos",
+    }
+    KEYED_SECTIONS = DatabaseSite.KEYED_SECTIONS + ("paxos",)
+
+    def _render_paxos(
+        self, parts: Optional[Iterable[str]] = None
+    ) -> Dict[str, object]:
+        """Registrar records, promises, accepted votes and participant
+        registrations, each a part marked and logged whole."""
         meta = self.participant._meta
-        snapshot["paxos"] = {
-            "registrar": {
+        renderers = {
+            "registrar": lambda: {
                 txn: list(sites) for txn, sites in self.registrar.items()
             },
-            "promised": dict(self._promised),
-            "accepted": [
+            "promised": lambda: dict(self._promised),
+            "accepted": lambda: [
                 [txn, instance, ballot, vote]
                 for (txn, instance), (ballot, vote) in sorted(
                     self._accepted.items()
                 )
             ],
-            "meta": {
+            "meta": lambda: {
                 txn: [list(participants), list(acceptors)]
                 for txn, (participants, acceptors) in meta.items()
             },
         }
-        return snapshot
+        return {
+            part: render()
+            for part, render in renderers.items()
+            if parts is None or part in parts
+        }
 
     def restore_durable(self, snapshot: Dict[str, object]) -> None:
         super().restore_durable(snapshot)

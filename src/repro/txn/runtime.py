@@ -157,6 +157,24 @@ class TransitionLog:
         return "\n".join(lines)
 
 
+class DurableMarks:
+    """What one site's protocol code wrote to durable state since the
+    site's last log record.
+
+    ``keys[section]`` holds the entries written in a section the
+    snapshot keeps as a dict (an item, a transaction, a Paxos part);
+    ``whole`` names the other sections written.  A mark says "look
+    here", not "this changed": the record compares what it renders
+    with what was logged.
+    """
+
+    __slots__ = ("keys", "whole")
+
+    def __init__(self, keyed: Iterable[str]) -> None:
+        self.keys: Dict[str, Set[str]] = {name: set() for name in keyed}
+        self.whole: Set[str] = set()
+
+
 @dataclass
 class SiteRuntime:
     """The services one database site's protocol roles share.
@@ -202,6 +220,9 @@ class SiteRuntime:
     def __post_init__(self) -> None:
         if self.patience is None:
             self.patience = Patience(self.config.timeout_policy)
+        #: Durable writes since the last log record; None (no marks
+        #: kept) until a logging runtime asks for them.
+        self.marks: Optional[DurableMarks] = None
 
     def send(self, recipient: SiteId, payload: Any) -> None:
         """Send a protocol message from this site."""

@@ -12,7 +12,10 @@ crash/recovery behaviour all live here:
   wait records) is lost; stable state (item values, staged-at-ready
   updates, the outcome table, the outcome log, pending outcome
   notifications) is exactly what :meth:`DatabaseSite.durable_snapshot`
-  captures.
+  captures.  Once a logging runtime asks
+  (:meth:`DatabaseSite.track_changes`), every write to it is also marked
+  where it happens, and :meth:`DatabaseSite.durable_record` renders
+  just the marked entries.
 * **restart** — :meth:`DatabaseSite.restore_durable` rebuilds the
   stable state from that snapshot and nothing else, on the simulator as
   on the socket runtime (:class:`repro.txn.cluster.Cluster` does it for
@@ -27,7 +30,7 @@ crash/recovery behaviour all live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ProtocolError
 from repro.core.polyvalue import is_polyvalue
@@ -37,13 +40,25 @@ from repro.runtime.base import Periodic
 from repro.txn import protocol
 from repro.txn.coordinator import Coordinator
 from repro.txn.participant import Participant
-from repro.txn.runtime import SiteRuntime
+from repro.txn.runtime import DurableMarks, SiteRuntime
 from repro.txn.transaction import (
     Transaction,
     TransactionHandle,
     TxnId,
     coordinator_of,
 )
+
+
+_MISSING = object()
+
+
+def _pick(
+    mapping: Mapping[str, Any], keys: Optional[Iterable[str]]
+) -> Dict[str, Any]:
+    """A copy of *mapping*, or of its entries under *keys* (None: all)."""
+    if keys is None:
+        return dict(mapping)
+    return {key: mapping[key] for key in keys if key in mapping}
 
 
 @dataclass
@@ -85,7 +100,7 @@ class DatabaseSite:
             site=runtime.site_id,
         )
         runtime.rt.register(runtime.site_id, self.on_message)
-        runtime.rt.attach_durability(runtime.site_id, self.durable_snapshot)
+        runtime.rt.attach_durability(runtime.site_id, self)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -207,8 +222,11 @@ class DatabaseSite:
     def _on_outcome_ack(
         self, message: protocol.OutcomeAck, sender: SiteId
     ) -> None:
-        self.runtime.outcome_log.acknowledge(message.txn, message.site)
-        self._pending_notifies.pop((message.txn, message.site), None)
+        rt = self.runtime
+        rt.outcome_log.acknowledge(message.txn, message.site)
+        owed = self._pending_notifies.pop((message.txn, message.site), None)
+        if owed is not None and rt.marks is not None:
+            rt.marks.whole.add("pending_notifies")
         if message.site in self._retry:
             self._retry[message.site].pop(message.txn, None)
 
@@ -219,7 +237,10 @@ class DatabaseSite:
     def _learn_outcome(self, txn: TxnId, committed: bool) -> None:
         """Absorb one transaction outcome: reduce, relay, audit, forget."""
         rt = self.runtime
+        marks = rt.marks
         rt.known_outcomes[txn] = committed
+        if marks is not None:
+            marks.keys["known_outcomes"].add(txn)
         if txn in rt.direct_doubts:
             # This site installed wait-timeout polyvalues for txn and has
             # only now learned its fate: the in-doubt window closes here.
@@ -232,7 +253,9 @@ class DatabaseSite:
                     site=self.site_id,
                     committed=committed,
                 )
-        rt.direct_doubts.discard(txn)
+            rt.direct_doubts.discard(txn)
+            if marks is not None:
+                marks.whole.add("direct_doubts")
         self.participant.handle_outcome_known(txn, committed)
         resolution = rt.outcomes.resolve(txn, committed)
         for item in resolution.items_to_reduce:
@@ -243,6 +266,8 @@ class DatabaseSite:
             if site == self.site_id:
                 continue
             self._pending_notifies[(txn, site)] = committed
+            if marks is not None:
+                marks.whole.add("pending_notifies")
             rt.send(
                 site,
                 protocol.OutcomeNotify(
@@ -427,6 +452,32 @@ class DatabaseSite:
     #: outcome table's forwarding lists.
     DURABLE_VERSION = 2
 
+    #: The durable sections, in snapshot order: name -> the method that
+    #: renders it.  A section in :attr:`KEYED_SECTIONS` is a dict whose
+    #: renderer takes the keys to render (absent ones are left out), or
+    #: None for all of them; any other section is rendered whole.  The
+    #: snapshot and the log record both render through here, so they
+    #: cannot disagree.
+    DURABLE_SECTIONS: Dict[str, str] = {
+        "values": "_render_values",
+        "outcome_log": "_render_outcome_log",
+        "known_outcomes": "_render_known_outcomes",
+        "direct_doubts": "_render_direct_doubts",
+        "forwarded": "_render_forwarded",
+        "pending_notifies": "_render_pending_notifies",
+        "staged": "_render_staged",
+        "unilateral": "_render_unilateral",
+        "sequence": "_render_sequence",
+    }
+    KEYED_SECTIONS: Tuple[str, ...] = (
+        "values",
+        "outcome_log",
+        "known_outcomes",
+        "forwarded",
+        "staged",
+        "unilateral",
+    )
+
     def durable_snapshot(self) -> Dict[str, object]:
         """This site's durable state as a JSON-serialisable dict.
 
@@ -440,49 +491,141 @@ class DatabaseSite:
         transaction sequence (so a restarted coordinator never reuses a
         txn id).  Every restart on every runtime rebuilds the site from
         this and nothing else (:meth:`restore_durable`): the simulator
-        holds it from crash to recovery, the
-        :class:`~repro.runtime.aio.AsyncioRuntime` diffs it after every
-        action against the one it last logged and appends the change to
-        the site's log, :mod:`repro.txn.snapshot` collects one per site.
+        holds it from crash to recovery, :mod:`repro.txn.snapshot`
+        collects one per site, and the
+        :class:`~repro.runtime.aio.AsyncioRuntime` writes it as a
+        compacted site file at a site's first checkpoint and logs only
+        :meth:`durable_record` after that.
         """
-        rt = self.runtime
-        return {
+        snapshot: Dict[str, object] = {
             "version": self.DURABLE_VERSION,
             "site": self.site_id,
-            "values": rt.store.encoded_values(),
-            "outcome_log": {
-                txn: {
-                    "committed": entry.committed,
-                    "unacknowledged": sorted(entry.unacknowledged),
-                }
-                for txn, entry in rt.outcome_log.entries().items()
-            },
-            "known_outcomes": dict(rt.known_outcomes),
-            "direct_doubts": sorted(rt.direct_doubts),
-            "forwarded": {
-                txn: sorted(sites)
-                for txn in sorted(rt.outcomes.pending_transactions())
-                if (sites := rt.outcomes.forwarded_sites(txn))
-            },
-            "pending_notifies": [
-                [txn, site, committed]
-                for (txn, site), committed in sorted(
-                    self._pending_notifies.items()
-                )
-            ],
-            "staged": {
-                txn: encode_state(staged)
-                for txn, staged in self.participant.durable_staged().items()
-            },
-            "unilateral": self.participant.unaudited_unilateral(),
-            "sequence": self.coordinator.sequence,
         }
+        for name, render in self.DURABLE_SECTIONS.items():
+            snapshot[name] = getattr(self, render)()
+        return snapshot
+
+    def track_changes(self) -> None:
+        """Mark every durable write from now on, starting from none."""
+        rt = self.runtime
+        marks = rt.marks = DurableMarks(self.KEYED_SECTIONS)
+        rt.store.marks = marks.keys["values"]
+        rt.outcome_log.marks = marks.keys["outcome_log"]
+        rt.outcomes.marks = marks.keys["forwarded"]
+
+    def durable_record(self, logged: Dict[str, Any]) -> Dict[str, Any]:
+        """The log record from *logged* to now, rendered from the marks
+        alone (``{}`` when nothing marked differs), then clear them.
+
+        A section marked whole goes under ``"set"`` when its rendering
+        differs from *logged*'s; a keyed section goes under ``"patch"``
+        as ``[entries whose rendering differs, marked keys now gone]``.
+        """
+        marks = self.runtime.marks
+        sections = self.DURABLE_SECTIONS
+        marked = []
+        patched: Dict[str, Any] = {}
+        for name, keys in marks.keys.items():
+            if not keys:
+                continue
+            marked.append(keys)
+            keys = sorted(keys)
+            entries = getattr(self, sections[name])(keys)
+            before = logged[name]
+            changed: Dict[str, Any] = {}
+            deleted = []
+            for key in keys:
+                value = entries.get(key, _MISSING)
+                if value is _MISSING:
+                    if key in before:
+                        deleted.append(key)
+                elif before.get(key, _MISSING) != value:
+                    changed[key] = value
+            if changed or deleted:
+                patched[name] = [changed, deleted]
+        replaced: Dict[str, Any] = {}
+        if marks.whole:
+            marked.append(marks.whole)
+            for name in sorted(marks.whole):
+                value = getattr(self, sections[name])()
+                if value != logged[name]:
+                    replaced[name] = value
+        for keys in marked:
+            keys.clear()
+        record: Dict[str, Any] = {}
+        if replaced:
+            record["set"] = replaced
+        if patched:
+            record["patch"] = patched
+        return record
+
+    def _render_values(
+        self, items: Optional[Iterable[str]] = None
+    ) -> Dict[str, Any]:
+        store = self.runtime.store
+        if items is None:
+            return store.encoded_values()
+        return store.encoded(items)
+
+    def _render_outcome_log(
+        self, txns: Optional[Iterable[TxnId]] = None
+    ) -> Dict[str, Any]:
+        return {
+            txn: {
+                "committed": entry.committed,
+                "unacknowledged": sorted(entry.unacknowledged),
+            }
+            for txn, entry in self.runtime.outcome_log.entries(txns).items()
+        }
+
+    def _render_known_outcomes(
+        self, txns: Optional[Iterable[TxnId]] = None
+    ) -> Dict[str, bool]:
+        return _pick(self.runtime.known_outcomes, txns)
+
+    def _render_direct_doubts(self) -> List[TxnId]:
+        return sorted(self.runtime.direct_doubts)
+
+    def _render_forwarded(
+        self, txns: Optional[Iterable[TxnId]] = None
+    ) -> Dict[str, List[SiteId]]:
+        outcomes = self.runtime.outcomes
+        if txns is None:
+            txns = sorted(outcomes.pending_transactions())
+        return {
+            txn: sorted(sites)
+            for txn in txns
+            if (sites := outcomes.forwarded_sites(txn))
+        }
+
+    def _render_pending_notifies(self) -> List[list]:
+        owed = self._pending_notifies
+        return [
+            [txn, site, committed]
+            for (txn, site), committed in sorted(owed.items())
+        ]
+
+    def _render_staged(
+        self, txns: Optional[Iterable[TxnId]] = None
+    ) -> Dict[str, Any]:
+        staged = _pick(self.participant.durable_staged(), txns)
+        return {txn: encode_state(writes) for txn, writes in staged.items()}
+
+    def _render_unilateral(
+        self, txns: Optional[Iterable[TxnId]] = None
+    ) -> Dict[str, bool]:
+        return _pick(self.participant.unaudited_unilateral(), txns)
+
+    def _render_sequence(self) -> int:
+        return self.coordinator.sequence
 
     def restore_durable(self, snapshot: Dict[str, object]) -> None:
         """Rebuild durable state from :meth:`durable_snapshot` output.
 
         Call on a down site (:meth:`crash` already dropped the volatile
-        state) or a freshly built one, before :meth:`recover`.  The
+        state) or a freshly built one, before :meth:`recover`.  What it
+        marks does not matter: a runtime that logs starts a restored
+        site's marks over and writes its whole snapshot again.  The
         shared structures (outcome log, outcome table, outcome cache,
         direct doubts) are refilled in place, so whoever holds a
         reference keeps seeing the live object.  The outcome table's

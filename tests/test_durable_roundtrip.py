@@ -227,7 +227,7 @@ def site_log(tmp_path_factory):
     site = system.sites["site-0"]
     data_dir = tmp_path_factory.mktemp("logged")
     rt = AsyncioRuntime(data_dir=str(data_dir))
-    rt.attach_durability("site-0", site.durable_snapshot)
+    rt.attach_durability("site-0", site)
     rt._in_flight = 1
     states = []
     for target in ("acct-001", "acct-003", "acct-005"):

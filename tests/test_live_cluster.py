@@ -552,9 +552,25 @@ class TestBatchedTransport:
             return write(writer, data)
 
         monkeypatch.setattr(asyncio.StreamWriter, "write", recording)
-        # Padded so that a record is smaller than the site file: the
-        # change is appended to the log, not compacted into the file.
-        state = {"step": 0, "padding": "x" * 200}
+        class Steps:
+            """Durable state whose one write, the step, is marked."""
+
+            # Padded so that a record is smaller than the site file: the
+            # change is appended to the log, not compacted into the file.
+            state = {"step": 0, "padding": "x" * 200}
+            marked = False
+
+            def durable_snapshot(self):
+                return dict(self.state)
+
+            def track_changes(self):
+                self.marked = False
+
+            def durable_record(self, logged):
+                marked, self.marked = self.marked, False
+                return {"set": {"step": self.state["step"]}} if marked else {}
+
+        steps = Steps()
 
         async def scenario():
             rt = AsyncioRuntime(data_dir=str(tmp_path))
@@ -563,11 +579,11 @@ class TestBatchedTransport:
             for site in ("site-0", "site-1"):
                 await rt.listen(site)
             rt.register("site-1", received.append)
-            rt.attach_durability("site-0", lambda: dict(state))
+            rt.attach_durability("site-0", steps)
             rt.checkpoint("site-0")  # the site file: records follow it
 
             def act(step):
-                state["step"] = step
+                steps.state["step"], steps.marked = step, True
                 rt.send("site-0", "site-1", Ready(txn=f"T{step}", site="site-0"))
 
             try:

@@ -177,11 +177,11 @@ def _audit_held_snapshots(monkeypatch):
 
     def audited(rt, site):
         hold(rt, site)
-        provider = rt._snapshots.get(site)
-        if provider is None:
+        source = rt._sources.get(site)
+        if source is None:
             return
-        reference = provider()
-        reference["values"] = encode_state(provider.__self__.runtime.store.all_values())
+        reference = source.durable_snapshot()
+        reference["values"] = encode_state(source.runtime.store.all_values())
         if rt._held[site] != dump_snapshot(reference):
             audit["problems"].append(f"{site} at t={rt.now}")
         audit["holds"] += 1

@@ -26,8 +26,15 @@ The shapes mirror the end-to-end benchmark's simulator workloads:
 * ``paxos`` — ``steady``'s shape under Paxos Commit;
 * ``paxos-indoubt`` — ``indoubt``'s shape under Paxos Commit.
 
+The live arm gates the durable checkpoint: a three-site ``LiveCluster``
+with a data directory commits transfers from one closed-loop client, and
+the Python calls made inside ``AsyncioRuntime.checkpoint`` per
+checkpoint may grow by at most 10 % from 1x to 4x the transfers.  A
+checkpoint costs what the action changed, not what the site has ever
+learned.
+
 Run one shape by hand with ``PYTHONPATH=src python
-tests/test_work_per_commit.py indoubt``.
+tests/test_work_per_commit.py indoubt`` (or ``live-durable``).
 """
 
 from __future__ import annotations
@@ -117,6 +124,71 @@ def _update(target: str, deps: Tuple[str, ...], salt: int):
         ctx.write(target, mixed)
 
     return Transaction(body=body, items=tuple(dict.fromkeys((target,) + deps)))
+
+
+#: Transfers the live arm commits at 1x, and its cluster's accounts.
+LIVE_TRANSFERS = 150
+LIVE_ACCOUNTS = 60
+
+
+def measure_live(length: int) -> Dict[str, Any]:
+    """Python calls made inside ``AsyncioRuntime.checkpoint``, per call,
+    while one client commits ``LIVE_TRANSFERS * length`` transfers on a
+    durable live cluster."""
+    import asyncio
+    import tempfile
+
+    from repro.api import LiveCluster, TxnStatus
+    from repro.live.client import transfer_script
+    from repro.runtime.aio import AsyncioRuntime
+
+    profile = cProfile.Profile()
+    counts = {"checkpoints": 0}
+    checkpoint = AsyncioRuntime.checkpoint
+
+    def profiled(runtime: Any, site: str) -> None:
+        counts["checkpoints"] += 1
+        profile.enable()
+        try:
+            checkpoint(runtime, site)
+        finally:
+            profile.disable()
+
+    accounts = {f"acct-{index:02d}": 1000 for index in range(LIVE_ACCOUNTS)}
+
+    async def run(data_dir: str) -> int:
+        cluster = LiveCluster(
+            sites=3, items=accounts, seed=0, data_dir=data_dir
+        )
+        await cluster.start()
+        try:
+            committed = 0
+            for index in range(LIVE_TRANSFERS * length):
+                source = index % LIVE_ACCOUNTS
+                handle = cluster.submit_script(
+                    transfer_script(
+                        f"acct-{source:02d}",
+                        f"acct-{(source + 7) % LIVE_ACCOUNTS:02d}",
+                        1,
+                    )
+                )
+                assert await cluster.wait_decided(handle, timeout=10.0)
+                committed += handle.status is TxnStatus.COMMITTED
+            return committed
+        finally:
+            await cluster.stop()
+
+    AsyncioRuntime.checkpoint = profiled
+    try:
+        with tempfile.TemporaryDirectory() as data_dir:
+            committed = asyncio.run(run(data_dir))
+    finally:
+        AsyncioRuntime.checkpoint = checkpoint
+    return {
+        "committed": committed,
+        "checkpoints": counts["checkpoints"],
+        "calls": pstats.Stats(profile).total_calls / counts["checkpoints"],
+    }
 
 
 def _retained(snapshot: tracemalloc.Snapshot) -> Dict[str, int]:
@@ -221,5 +293,21 @@ def test_retained_memory_does_not_grow_with_history(shape):
     )
 
 
+@pytest.mark.slow
+def test_checkpoint_work_does_not_grow_with_history():
+    runs = _measure_fresh("live-durable")
+    short, long = (runs[length] for length in LENGTHS)
+    assert short["committed"] > 0.9 * LIVE_TRANSFERS
+    assert long["committed"] > 3 * short["committed"]
+    assert long["calls"] <= short["calls"] * (1 + MAX_GROWTH), (
+        f"calls per checkpoint grew with history: {short} -> {long}"
+    )
+
+
 if __name__ == "__main__":
-    print(json.dumps({length: measure(sys.argv[1], length) for length in LENGTHS}))
+    shape = sys.argv[1]
+    if shape == "live-durable":
+        run_one = measure_live
+    else:
+        run_one = functools.partial(measure, shape)
+    print(json.dumps({length: run_one(length) for length in LENGTHS}))
