@@ -23,8 +23,9 @@ The surface, by layer:
   :func:`relaxed_system`, :func:`paxos_commit_system`,
   :func:`path_sensitive_system`), :class:`Transaction`,
   :class:`ProtocolConfig`, and the protocol selector
-  (:data:`PROTOCOL_NAMES`, :class:`CommitProtocol`,
-  :func:`config_for_protocol`) — ``docs/protocols.md``.
+  (:data:`PROTOCOL_NAMES`, :data:`LIVE_PROTOCOLS`,
+  :class:`CommitProtocol`, :func:`config_for_protocol`) —
+  ``docs/protocols.md``.
 * **Observability** — :class:`EventBus`, :class:`SpanTracer`,
   :class:`MetricsRegistry`, :class:`ProtocolTracer`
   (``docs/observability.md``).
@@ -141,6 +142,7 @@ from repro.txn.baselines import (
     relaxed_system,
 )
 from repro.txn.config import (
+    LIVE_PROTOCOLS,
     PROTOCOL_NAMES,
     CommitPolicy,
     CommitProtocol,
@@ -216,7 +218,6 @@ from repro.live import (
     encode_message,
     run_serve,
 )
-from repro.live.cluster import LIVE_PROTOCOLS
 
 # Parallel campaign engine (docs/performance.md, "Parallel campaigns").
 from repro.parallel import (

@@ -31,12 +31,14 @@ code:
 * ``history`` — query the persistent campaign store: list runs, trend
   one metric across runs/PRs with deltas, or dump one run's full
   evidence (trials, metrics, verdicts, histograms);
-* ``serve-dash`` — the zero-dependency live dashboard: stdlib HTTP +
+* ``serve-dash`` — the zero-dependency live dashboard: HTML, JSON and
   SSE streaming the observability bus of a running scenario;
 * ``serve`` — a *live* cluster: the same state machines on wall-clock
-  asyncio sockets, driven over a stdlib HTTP/JSON API (submit
-  transaction scripts, read items, query outcomes, crash/restart
-  sites; ``docs/runtime.md``);
+  asyncio sockets, driven over an HTTP/JSON API (submit transaction
+  scripts, read items, query outcomes, crash/restart sites, scrape
+  ``/metrics``, follow ``/events``; ``docs/runtime.md``).  Both
+  commands run on the package's one asyncio HTTP server
+  (``repro.obs.httpd``) and answer ``/health``;
 * ``client`` — the scripted driver for ``serve`` (health, transfer,
   crash/restart, and an end-to-end crash-recovery demo).
 
@@ -71,12 +73,7 @@ from repro.analysis.model import (
 )
 from repro.analysis.montecarlo import simulate, simulate_many
 from repro.analysis.sweep import SWEEPABLE, format_sweep_table, sweep
-from repro.txn.config import PROTOCOL_NAMES
-
-#: Protocols `repro serve` can run live (pathsensitive is sim-only;
-#: mirrors repro.live.cluster.LIVE_PROTOCOLS without importing asyncio
-#: machinery at CLI startup).
-LIVE_PROTOCOL_NAMES = ("polyvalue", "blocking", "relaxed", "paxos")
+from repro.txn.config import LIVE_PROTOCOLS, PROTOCOL_NAMES
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -1242,7 +1239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dash = commands.add_parser(
         "serve-dash",
-        help="live dashboard: stdlib HTTP + SSE over the event bus",
+        help="live dashboard: HTTP + SSE over the event bus",
     )
     dash.add_argument("--host", default="127.0.0.1")
     dash.add_argument("--port", type=int, default=8537,
@@ -1280,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "restart-from-disk; default: in-memory only)")
     _add_campaign_flags(serve, jobs=False, store=False, metrics=False,
                         protocol=True, protocol_default="polyvalue",
-                        protocol_choices=LIVE_PROTOCOL_NAMES,
+                        protocol_choices=LIVE_PROTOCOLS,
                         protocol_help="commit protocol the cluster runs "
                         "(default polyvalue; pathsensitive is sim-only)")
     serve.set_defaults(handler=_cmd_serve)

@@ -4,8 +4,10 @@ The same :mod:`repro.txn` state machines the simulator drives, stood up
 as a real localhost cluster: length-prefixed JSON protocol frames over
 TCP (:mod:`repro.live.wire`), the socket front-end of the shared
 :class:`~repro.txn.cluster.Cluster` composition root
-(:mod:`repro.live.cluster`), a stdlib HTTP/JSON control surface
-(:mod:`repro.live.httpapi`) behind ``python -m repro serve``, a
+(:mod:`repro.live.cluster`), an HTTP/JSON control surface with
+``/metrics`` and an ``/events`` stream (:mod:`repro.live.httpapi`, routes
+on the package's one HTTP server, :mod:`repro.obs.httpd`) behind
+``python -m repro serve``, a
 scripted client (:mod:`repro.live.client`) behind
 ``python -m repro client``, and a declarative JSON transaction DSL
 (:mod:`repro.live.txnscript`) since live clients cannot ship Python

@@ -19,7 +19,8 @@ because live clients cannot ship Python callables.
 
 Path-sensitive commit stays sim-only: its apply log and routing queues
 are not part of the durable snapshot, so a site could not come back from
-its file.  ``LIVE_PROTOCOLS`` is the supported set.
+its file.  ``LIVE_PROTOCOLS`` (defined in :mod:`repro.txn.config`) is
+the supported set.
 """
 
 from __future__ import annotations
@@ -35,15 +36,12 @@ from repro.db.catalog import Catalog
 from repro.net.message import SiteId
 from repro.runtime.aio import AsyncioRuntime
 from repro.txn.cluster import Cluster
-from repro.txn.config import ProtocolConfig, config_for_protocol
+from repro.txn.config import LIVE_PROTOCOLS, ProtocolConfig, config_for_protocol
 from repro.txn.timeouts import TimeoutPolicy
 from repro.txn.transaction import TransactionHandle, TxnId, TxnStatus
 from repro.live.txnscript import compile_script
 
 ItemId = str
-
-#: Protocols the live cluster can run (pathsensitive is sim-only).
-LIVE_PROTOCOLS = ("polyvalue", "blocking", "relaxed", "paxos")
 
 
 class LiveClusterError(ReproError):

@@ -1,222 +1,143 @@
-"""A stdlib HTTP/JSON control surface for :class:`LiveCluster`.
+"""The HTTP/JSON control surface of a :class:`LiveCluster`.
 
 ``python -m repro serve`` stands up a cluster and binds this API; any
 HTTP client (curl, the bundled ``python -m repro client``) can then
-submit transactions, read items, query outcomes, and crash/restart
-sites.  The server is a hand-rolled asyncio HTTP/1.1 responder — no
-``http.server`` thread pool, so every request runs on the same event
-loop as the cluster itself and observes/mutates it without locks.
+submit transactions, read items, query outcomes, crash/restart sites,
+scrape metrics and follow the event stream.  It runs on the package's
+one HTTP server (:mod:`repro.obs.httpd`), on the same event loop as the
+cluster itself, so every request observes and mutates the cluster
+without locks.
 
-Routes (all responses are JSON)::
+Routes (JSON unless noted)::
 
     GET  /health            liveness probe: {"ok": true, ...}
     GET  /state             full cluster summary (sites, ports, pending)
     GET  /item/<id>         one item's value (polyvalues in wire form)
     GET  /txn/<id>          one transaction's outcome
+    GET  /metrics           the cluster's metrics registry, Prometheus
+                            text format 0.0.4
+    GET  /events            server-sent events: a dash.hello frame with
+                            /state, then one frame per bus event
     POST /txn               submit a transaction script
                             body: {"script": {...}, "at"?: site,
                                    "wait"?: bool, "timeout"?: seconds}
     POST /crash             {"site": "site-0"} — fail-stop a site
     POST /restart           {"site": "site-0"} — restart from checkpoint
 
-Malformed input is 400, unknown items/transactions/routes are 404;
-error bodies are ``{"error": "..."}``.
+The event stream is subscribed to ``cluster.bus`` only while a client
+is connected, so a cluster nobody watches builds no events.  Malformed
+input is 400, unknown items/transactions/routes are 404; error bodies
+are ``{"error": "..."}``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, Dict, Optional, Tuple
+import math
+from typing import Any, Dict, Optional
 
-from repro.core.errors import ReproError, UnknownItemError
+from repro.core.errors import UnknownItemError
 from repro.live.txnscript import TransactionScriptError
+from repro.obs.export import prometheus_text
+from repro.obs.httpd import HttpError, HttpServer, Reply, json_reply
 
-_MAX_HEADER_BYTES = 16384
-_MAX_BODY_BYTES = 1 << 20
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-}
+#: The Prometheus text exposition content type.
+PROMETHEUS = "text/plain; version=0.0.4"
 
 
-class _HttpFail(Exception):
-    """Internal: abort request handling with a status + message."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-class HttpApi:
+class HttpApi(HttpServer):
     """Serve the cluster control API on *host*:*port* (0 = ephemeral)."""
 
     def __init__(self, cluster: Any, *, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host=host, port=port)
         self.cluster = cluster
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+        self.broker.follow(cluster.bus)
 
-    async def start(self) -> int:
-        """Bind and listen; returns the actual port."""
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                method, path, body = await self._read_request(reader)
-                status, payload = await self._route(method, path, body)
-            except _HttpFail as fail:
-                status, payload = fail.status, {"error": fail.message}
-            except ReproError as exc:
-                status, payload = 400, {"error": str(exc)}
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-            head = (
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(blob)}\r\n"
-                f"Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("ascii") + blob)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Optional[Dict[str, Any]]]:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise _HttpFail(400, "malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        total = len(request_line)
-        while True:
-            line = await reader.readline()
-            total += len(line)
-            if total > _MAX_HEADER_BYTES:
-                raise _HttpFail(413, "headers too large")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _HttpFail(400, "bad Content-Length") from None
-        if content_length > _MAX_BODY_BYTES:
-            raise _HttpFail(413, "body too large")
-        body: Optional[Dict[str, Any]] = None
-        if content_length:
-            raw = await reader.readexactly(content_length)
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise _HttpFail(400, f"body is not JSON: {exc}") from None
-            if not isinstance(body, dict):
-                raise _HttpFail(400, "body must be a JSON object")
-        return method, path, body
-
-    # ------------------------------------------------------------------
-    # Routes
-
-    async def _route(
+    async def route(
         self, method: str, path: str, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
-        path = path.split("?", 1)[0].rstrip("/") or "/"
+    ) -> Reply:
         if method == "GET":
             if path == "/health":
-                return 200, {
+                return json_reply({
                     "ok": True,
                     "protocol": self.cluster.protocol,
                     "sites": len(self.cluster.sites),
                     "down": self.cluster.down_sites(),
-                }
+                })
             if path == "/state":
-                return 200, self.cluster.describe()
+                return json_reply(self.cluster.describe())
+            if path == "/metrics":
+                text = prometheus_text(self.cluster.metrics.registry)
+                return Reply(200, text.encode("utf-8"), PROMETHEUS)
+            if path == "/events":
+                return self.broker.reply(self.cluster.describe())
             if path.startswith("/item/"):
                 item = path[len("/item/") :]
                 try:
-                    return 200, self.cluster.describe_item(item)
+                    return json_reply(self.cluster.describe_item(item))
                 except UnknownItemError as exc:
-                    raise _HttpFail(404, str(exc)) from None
+                    raise HttpError(404, str(exc)) from None
             if path.startswith("/txn/"):
                 txn = path[len("/txn/") :]
                 described = self.cluster.describe_txn(txn)
                 if described is None:
-                    raise _HttpFail(404, f"unknown transaction {txn!r}")
-                return 200, described
-            raise _HttpFail(404, f"no such resource {path!r}")
-        if method == "POST":
+                    raise HttpError(404, f"unknown transaction {txn!r}")
+                return json_reply(described)
+        elif method == "POST":
             if path == "/txn":
                 return await self._post_txn(body or {})
             if path == "/crash":
                 site = self._required_site(body)
                 self.cluster.crash(site)
-                return 200, {"site": site, "up": False}
+                return json_reply({"site": site, "up": False})
             if path == "/restart":
                 site = self._required_site(body)
                 self.cluster.restart(site)
-                return 200, {"site": site, "up": True}
-            raise _HttpFail(404, f"no such resource {path!r}")
-        raise _HttpFail(405, f"unsupported method {method}")
+                return json_reply({"site": site, "up": True})
+        else:
+            raise HttpError(405, f"unsupported method {method}")
+        return await super().route(method, path, body)
 
-    async def _post_txn(
-        self, body: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
+    async def _post_txn(self, body: Dict[str, Any]) -> Reply:
+        # Every argument is checked before the transaction is submitted:
+        # a rejected request must not have run it.
         script = body.get("script")
         if script is None:
-            raise _HttpFail(400, 'POST /txn needs a "script" object')
+            raise HttpError(400, 'POST /txn needs a "script" object')
         at = body.get("at")
         if at is not None and not isinstance(at, str):
-            raise _HttpFail(400, '"at" must be a site id string')
+            raise HttpError(400, '"at" must be a site id string')
+        wait = body.get("wait", False)
+        if not isinstance(wait, bool):
+            raise HttpError(400, '"wait" must be true or false')
+        timeout = body.get("timeout", 10.0)
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout < 0
+        ):
+            raise HttpError(400, '"timeout" must be a finite number >= 0')
         try:
             handle = self.cluster.submit_script(script, at=at)
         except (TransactionScriptError, UnknownItemError) as exc:
-            raise _HttpFail(400, str(exc)) from None
+            raise HttpError(400, str(exc)) from None
         decided = True
-        if body.get("wait", False):
-            timeout = float(body.get("timeout", 10.0))
+        if wait:
             decided = await self.cluster.wait_decided(handle, timeout=timeout)
         described = self.cluster.describe_txn(handle.txn) or {
             "txn": handle.txn,
             "status": handle.status.value,
         }
         described["decided"] = decided and handle.decided_at is not None
-        return 200, described
+        return json_reply(described)
 
     def _required_site(self, body: Optional[Dict[str, Any]]) -> str:
         site = (body or {}).get("site")
         if not isinstance(site, str):
-            raise _HttpFail(400, 'request needs a "site" string')
+            raise HttpError(400, 'request needs a "site" string')
         if site not in self.cluster.sites:
-            raise _HttpFail(404, f"unknown site {site!r}")
+            raise HttpError(404, f"unknown site {site!r}")
         return site
 
 

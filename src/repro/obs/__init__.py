@@ -17,6 +17,10 @@ every component of the full-system simulator (see
 * :mod:`repro.obs.store` — the SQLite-backed :class:`CampaignStore`
   every campaign driver records runs/trials/metrics/verdicts into, and
   the :class:`CampaignRecorder` bus subscriber that feeds it;
+* :mod:`repro.obs.httpd` — the package's one HTTP server: an asyncio
+  responder (:class:`HttpServer`) that answers JSON, text or a
+  server-sent-event stream fed from a bus by :class:`SSEBroker`; both
+  ``repro serve`` and ``repro serve-dash`` run on it;
 * :mod:`repro.obs.live` — the zero-dependency live dashboard
   (``repro serve-dash``) streaming the bus over SSE.
 
@@ -52,7 +56,8 @@ from repro.obs.store import (
     VerdictRecord,
     default_store_path,
 )
-from repro.obs.live import DashboardServer, LiveState, SSEBroker, serve_dash
+from repro.obs.httpd import HttpServer, SSEBroker
+from repro.obs.live import DashboardServer, LiveState, serve_dash
 
 __all__ = [
     "TAXONOMY",
@@ -81,6 +86,7 @@ __all__ = [
     "VerdictRecord",
     "default_store_path",
     "DashboardServer",
+    "HttpServer",
     "LiveState",
     "SSEBroker",
     "serve_dash",

@@ -1,18 +1,20 @@
 """The live dashboard: the obs event bus over HTTP, zero dependencies.
 
 ``python -m repro serve-dash`` stands up a small web dashboard on the
-standard library only (``http.server`` + server-sent events, no
-external packages) and streams the :class:`~repro.obs.events.EventBus`
-of a running scenario or campaign into it, live:
+package's one HTTP server (:mod:`repro.obs.httpd`, an asyncio
+responder with server-sent events; no external packages) and streams
+the :class:`~repro.obs.events.EventBus` of a running scenario or
+campaign into it, live:
 
 * ``/`` — a single self-contained HTML page: campaign progress, txn
   commit/abort rates, open in-doubt windows, polyvalue counts and
   trial verdicts, updating over SSE;
-* ``/events`` — the raw event stream in ``text/event-stream`` framing,
-  one JSON object per ``data:`` frame (exactly
+* ``/events`` — the raw event stream in ``text/event-stream`` framing:
+  a ``dash.hello`` frame with the current state, then one JSON object
+  per ``data:`` frame (exactly
   :func:`~repro.obs.export.event_to_dict`'s rendering);
 * ``/state.json`` — the :class:`LiveState` aggregate snapshot;
-* ``/healthz`` — liveness probe.
+* ``/health`` — liveness probe.
 
 The split follows the web backend/frontend separation of SimCash-style
 experiment platforms, shrunk to the stdlib: the *backend* is the bus
@@ -20,30 +22,32 @@ experiment platforms, shrunk to the stdlib: the *backend* is the bus
 whatever consumes ``/events`` — the built-in page, ``curl``, or a real
 dashboard.
 
-Threading contract: the simulation runs on one thread and delivers bus
-events synchronously; :class:`LiveState` takes a lock per event and
-:class:`SSEBroker` only appends to bounded thread-safe queues, so the
-observed system never blocks on a slow browser — a client that falls
-more than ``queue_size`` events behind loses the oldest frames, never
-the simulation.
+Threading contract: the server runs on one event loop, the simulated
+scenario on one driver thread, whatever the number of clients.  The
+driver delivers bus events synchronously: :class:`LiveState` takes a
+lock per event, and the broker hands each rendered frame to the loop
+with ``call_soon_threadsafe`` into bounded per-client queues, so the
+simulation never blocks on a slow browser — a client that falls more
+than ``queue_size`` frames behind loses the oldest ones.
 """
 
 from __future__ import annotations
 
-import json
-import queue
+import asyncio
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.obs.events import EventBus, ObsEvent
 from repro.obs.export import event_to_dict
+from repro.obs.httpd import HttpError, HttpServer, Reply, json_reply
 
-#: Frames a lagging SSE client may buffer before old frames are shed.
-DEFAULT_QUEUE_SIZE = 1000
 
-#: Seconds between SSE keep-alive comments when no events flow.
-HEARTBEAT_SECONDS = 1.0
+#: Event names kept in the snapshot's ring of recent events.
+_RECENT = frozenset((
+    "campaign.trial", "campaign.done", "indoubt.open", "indoubt.close",
+    "txn.aborted", "site.crash",
+))
 
 
 class LiveState:
@@ -59,25 +63,12 @@ class LiveState:
 
     def __init__(self, keep_events: int = 50) -> None:
         self._lock = threading.Lock()
-        self._keep = keep_events
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.events_seen = 0
-            self.last_time = 0.0
-            self.txns = {"submitted": 0, "committed": 0, "aborted": 0}
-            self.in_doubt_opened = 0
-            self.in_doubt_closed = 0
-            self._open_windows: Dict[Tuple[str, str], float] = {}
-            self.polyvalues = {"installed": 0, "resolved": 0}
-            self.crashes = 0
-            self.recoveries = 0
-            self.drops = 0
-            self.overload_blocks = 0
-            self.overflows = 0
-            self.campaigns: Dict[str, Dict[str, Any]] = {}
-            self._recent: List[Dict[str, Any]] = []
+        self.events_seen = 0
+        self.last_time = 0.0
+        self._counts: Counter[str] = Counter()
+        self._open_windows: Dict[Tuple[str, str], float] = {}
+        self.campaigns: Dict[str, Dict[str, Any]] = {}
+        self._recent: Deque[Dict[str, Any]] = deque(maxlen=keep_events)
 
     # -- event folding -------------------------------------------------
 
@@ -86,69 +77,37 @@ class LiveState:
         with self._lock:
             self.events_seen += 1
             self.last_time = event.time
-            if name == "txn.submitted":
-                self.txns["submitted"] += 1
-            elif name == "txn.committed":
-                self.txns["committed"] += 1
-            elif name == "txn.aborted":
-                self.txns["aborted"] += 1
-            elif name == "txn.overflow":
-                self.overflows += 1
-            elif name == "overload.block":
-                self.overload_blocks += 1
-            elif name == "indoubt.open":
-                self.in_doubt_opened += 1
-                self._open_windows[(event.txn or "", event.site or "")] = (
-                    event.time
-                )
+            self._counts[name] += 1
+            window = (event.txn or "", event.site or "")
+            if name == "indoubt.open":
+                self._open_windows[window] = event.time
             elif name == "indoubt.close":
-                self.in_doubt_closed += 1
-                self._open_windows.pop(
-                    (event.txn or "", event.site or ""), None
-                )
-            elif name == "polyvalue.install":
-                self.polyvalues["installed"] += 1
-            elif name == "polyvalue.resolve":
-                self.polyvalues["resolved"] += 1
-            elif name == "site.crash":
-                self.crashes += 1
-            elif name == "site.recover":
-                self.recoveries += 1
-            elif name == "msg.drop":
-                self.drops += 1
+                self._open_windows.pop(window, None)
             elif name.startswith("campaign."):
                 self._on_campaign(name, event)
-            if name in ("campaign.trial", "campaign.done", "indoubt.open",
-                        "indoubt.close", "txn.aborted", "site.crash"):
+            if name in _RECENT:
                 self._recent.append(event_to_dict(event))
-                del self._recent[: -self._keep]
 
     def _on_campaign(self, name: str, event: ObsEvent) -> None:
-        label = str(event.attrs.get("label", "campaign"))
-        entry = self.campaigns.setdefault(
-            label,
-            {
-                "trials": 0, "jobs": 1, "done": 0, "ok": 0, "failed": 0,
-                "chunks": 0, "finished": False, "failed_indices": [],
-            },
-        )
-        if name == "campaign.start":
+        attrs = event.attrs
+        label = str(attrs.get("label", "campaign"))
+        start = name == "campaign.start"
+        if start or label not in self.campaigns:
             # A fresh campaign under a reused label restarts its bar.
-            entry.update(
-                trials=int(event.attrs.get("trials", 0)),
-                jobs=int(event.attrs.get("jobs", 1)),
-                done=0, ok=0, failed=0, chunks=0, finished=False,
-                failed_indices=[],
-            )
-        elif name == "campaign.trial":
+            self.campaigns[label] = {
+                "trials": int(attrs.get("trials", 0)) if start else 0,
+                "jobs": int(attrs.get("jobs", 1)) if start else 1,
+                "done": 0, "ok": 0, "failed": 0, "chunks": 0,
+                "finished": False, "failed_indices": [],
+            }
+        entry = self.campaigns[label]
+        if name == "campaign.trial":
             entry["done"] += 1
-            if event.attrs.get("ok"):
+            if attrs.get("ok"):
                 entry["ok"] += 1
             else:
                 entry["failed"] += 1
-                entry["failed_indices"].append(
-                    int(event.attrs.get("index", -1))
-                )
+                entry["failed_indices"].append(int(attrs.get("index", -1)))
                 del entry["failed_indices"][:-20]
         elif name == "campaign.chunk":
             entry["chunks"] += 1
@@ -160,17 +119,22 @@ class LiveState:
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-safe dict of everything the dashboard renders."""
         with self._lock:
-            decided = self.txns["committed"] + self.txns["aborted"]
+            count = self._counts
+            txns = {
+                outcome: count[f"txn.{outcome}"]
+                for outcome in ("submitted", "committed", "aborted")
+            }
+            decided = txns["committed"] + txns["aborted"]
+            installed = count["polyvalue.install"]
+            resolved = count["polyvalue.resolve"]
             return {
                 "events_seen": self.events_seen,
                 "sim_time": self.last_time,
-                "txns": dict(self.txns),
-                "commit_rate": (
-                    self.txns["committed"] / decided if decided else None
-                ),
+                "txns": txns,
+                "commit_rate": txns["committed"] / decided if decided else None,
                 "in_doubt": {
-                    "opened": self.in_doubt_opened,
-                    "closed": self.in_doubt_closed,
+                    "opened": count["indoubt.open"],
+                    "closed": count["indoubt.close"],
                     "open": len(self._open_windows),
                     "open_windows": [
                         {"txn": txn, "site": site, "since": since}
@@ -180,70 +144,23 @@ class LiveState:
                     ],
                 },
                 "polyvalues": {
-                    **self.polyvalues,
-                    "current": max(
-                        0,
-                        self.polyvalues["installed"]
-                        - self.polyvalues["resolved"],
-                    ),
+                    "installed": installed,
+                    "resolved": resolved,
+                    "current": max(0, installed - resolved),
                 },
                 "sites": {
-                    "crashes": self.crashes,
-                    "recoveries": self.recoveries,
+                    "crashes": count["site.crash"],
+                    "recoveries": count["site.recover"],
                 },
-                "drops": self.drops,
-                "overload_blocks": self.overload_blocks,
-                "overflows": self.overflows,
+                "drops": count["msg.drop"],
+                "overload_blocks": count["overload.block"],
+                "overflows": count["txn.overflow"],
                 "campaigns": {
                     label: dict(entry)
                     for label, entry in self.campaigns.items()
                 },
                 "recent": list(self._recent),
             }
-
-
-class SSEBroker:
-    """Fans bus events out to any number of SSE client queues.
-
-    :meth:`on_event` is the bus subscriber; each connected client owns
-    a bounded queue — when a client lags past the bound, the oldest
-    frame is dropped so the emitting (simulation) thread never blocks.
-    """
-
-    def __init__(self, queue_size: int = DEFAULT_QUEUE_SIZE) -> None:
-        self._lock = threading.Lock()
-        self._clients: List["queue.Queue[str]"] = []
-        self._queue_size = queue_size
-
-    def on_event(self, event: ObsEvent) -> None:
-        frame = json.dumps(event_to_dict(event), default=repr, sort_keys=True)
-        with self._lock:
-            clients = list(self._clients)
-        for client in clients:
-            try:
-                client.put_nowait(frame)
-            except queue.Full:
-                try:  # shed the oldest frame, keep the newest
-                    client.get_nowait()
-                    client.put_nowait(frame)
-                except (queue.Empty, queue.Full):
-                    pass
-
-    def attach(self) -> "queue.Queue[str]":
-        client: "queue.Queue[str]" = queue.Queue(maxsize=self._queue_size)
-        with self._lock:
-            self._clients.append(client)
-        return client
-
-    def detach(self, client: "queue.Queue[str]") -> None:
-        with self._lock:
-            if client in self._clients:
-                self._clients.remove(client)
-
-    @property
-    def clients(self) -> int:
-        with self._lock:
-            return len(self._clients)
 
 
 #: The dashboard page: one self-contained HTML document, no external
@@ -355,86 +272,14 @@ DASH_PAGE = """<!DOCTYPE html>
 """
 
 
-class _DashHandler(BaseHTTPRequestHandler):
-    """Routes: ``/``, ``/events`` (SSE), ``/state.json``, ``/healthz``."""
-
-    server: "DashboardServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(
-        self, body: bytes, content_type: str, status: int = 200
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        path = self.path.split("?", 1)[0]
-        if path in ("/", "/index.html"):
-            self._send(DASH_PAGE.encode("utf-8"), "text/html; charset=utf-8")
-        elif path == "/state.json":
-            body = json.dumps(
-                self.server.state.snapshot(), default=repr, sort_keys=True
-            ).encode("utf-8")
-            self._send(body, "application/json")
-        elif path == "/healthz":
-            self._send(b"ok\n", "text/plain")
-        elif path == "/events":
-            self._stream_events()
-        else:
-            self._send(b"not found\n", "text/plain", status=404)
-
-    def _stream_events(self) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        client = self.server.broker.attach()
-        try:
-            # An immediate hello frame so probes (and the CI smoke
-            # test) see an event without waiting for simulation output.
-            hello = json.dumps(
-                {"name": "dash.hello", "state": self.server.state.snapshot()},
-                default=repr,
-                sort_keys=True,
-            )
-            self.wfile.write(f"retry: 2000\ndata: {hello}\n\n".encode("utf-8"))
-            self.wfile.flush()
-            while not self.server.stopping.is_set():
-                try:
-                    frame = client.get(timeout=HEARTBEAT_SECONDS)
-                except queue.Empty:
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
-                    continue
-                self.wfile.write(f"data: {frame}\n\n".encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client went away — routine
-        finally:
-            self.server.broker.detach(client)
-
-
-class DashboardServer(ThreadingHTTPServer):
-    """The dashboard HTTP server; one per ``serve-dash`` invocation.
+class DashboardServer(HttpServer):
+    """The dashboard's routes; one server per ``serve-dash`` invocation.
 
     Owns the :class:`LiveState` aggregate and the :class:`SSEBroker`;
-    anything that builds an observed system attaches
-    ``server.subscribe(system.bus)`` and every event flows to both.
-    ``port=0`` binds an ephemeral port (tests); the bound port is in
-    ``server_address``.
+    anything that builds an observed system calls
+    ``server.subscribe(system.bus)``.  ``port=0`` binds an ephemeral
+    port (tests); :meth:`start` sets the bound one.
     """
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(
         self,
@@ -443,40 +288,30 @@ class DashboardServer(ThreadingHTTPServer):
         *,
         verbose: bool = False,
     ) -> None:
-        super().__init__((host, port), _DashHandler)
+        super().__init__(host=host, port=port)
         self.state = LiveState()
-        self.broker = SSEBroker()
-        self.stopping = threading.Event()
         self.verbose = verbose
 
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}/"
-
     def subscribe(self, bus: EventBus) -> None:
-        """Attach the aggregate and the SSE fan-out to *bus*."""
+        """Fold *bus* into the aggregate and stream it to SSE clients
+        (in place of the bus subscribed before)."""
         bus.subscribe(self.state.on_event)
-        bus.subscribe(self.broker.on_event)
+        self.broker.follow(bus)
 
-    def start(self) -> threading.Thread:
-        """Serve on a daemon thread; returns the thread."""
-        thread = threading.Thread(
-            target=self.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-dash",
-            daemon=True,
-        )
-        thread.start()
-        return thread
-
-    def stop(self) -> None:
-        self.stopping.set()
-        self.shutdown()
-        self.server_close()
+    async def route(
+        self, method: str, path: str, body: Optional[Dict[str, Any]]
+    ) -> Reply:
+        if method != "GET":
+            raise HttpError(405, f"unsupported method {method}")
+        if path in ("/", "/index.html"):
+            return Reply(200, DASH_PAGE.encode("utf-8"), "text/html; charset=utf-8")
+        if path == "/state.json":
+            return json_reply(self.state.snapshot())
+        if path == "/health":
+            return json_reply({"ok": True, "clients": self.broker.clients})
+        if path == "/events":
+            return self.broker.reply(self.state.snapshot())
+        return await super().route(method, path, body)
 
 
 # ----------------------------------------------------------------------
@@ -573,45 +408,47 @@ def serve_dash(
 
     *scenario* is ``demo`` (the looping coordinator-crash walkthrough)
     or ``chaos`` (looping smoke chaos campaigns with live ``campaign.*``
-    progress).  *duration* bounds wall-clock seconds (None = until
-    Ctrl-C); *ready*, when given, is set once the server is listening
-    (tests); *on_start* is called with the listening server (the CLI
-    prints the URL there).  Returns the (stopped) server.
+    progress).  The server runs on an event loop in the calling thread,
+    the scenario on one driver thread.  *duration* bounds wall-clock
+    seconds (None = until Ctrl-C); *ready*, when given, is set once the
+    server is listening (tests); *on_start* is called with the
+    listening server (the CLI prints the URL there).  Returns the
+    (stopped) server.
     """
-    if scenario not in ("demo", "chaos"):
+    if scenario == "demo":
+        drive, args = _drive_demo_scenario, (seed,)
+    elif scenario == "chaos":
+        drive, args = _drive_chaos_campaign, (seed, trials, jobs)
+    else:
         raise ValueError(f"unknown serve-dash scenario {scenario!r}")
     server = DashboardServer(host, port, verbose=verbose)
-    server_thread = server.start()
-    if on_start is not None:
-        on_start(server)
     stop = threading.Event()
-    if scenario == "demo":
-        driver = threading.Thread(
-            target=_drive_demo_scenario,
-            args=(server, seed, stop),
-            name="repro-dash-demo",
-            daemon=True,
-        )
-    else:
-        driver = threading.Thread(
-            target=_drive_chaos_campaign,
-            args=(server, seed, trials, jobs, stop),
-            name="repro-dash-chaos",
-            daemon=True,
-        )
-    driver.start()
-    if ready is not None:
-        ready.set()
+    driver = threading.Thread(
+        target=drive, args=(server, *args, stop), name="repro-dash", daemon=True
+    )
+
+    async def main() -> None:
+        await server.start()
+        try:
+            if on_start is not None:
+                on_start(server)
+            driver.start()
+            if ready is not None:
+                ready.set()
+            if duration is None:
+                await asyncio.Event().wait()
+            else:
+                await asyncio.sleep(duration)
+        finally:
+            stop.set()
+            await server.close()
+
     try:
-        if duration is None:
-            while server_thread.is_alive():
-                server_thread.join(0.5)
-        else:
-            stop.wait(duration)
+        asyncio.run(main())
     except KeyboardInterrupt:
         pass
     finally:
         stop.set()
-        server.stop()
-        driver.join(timeout=5.0)
+        if driver.is_alive():
+            driver.join(timeout=5.0)
     return server

@@ -161,6 +161,11 @@ PROTOCOL_NAMES = (
     "pathsensitive",
 )
 
+#: The protocols the live cluster can run: path-sensitive commit is
+#: sim-only, because its apply log and routing queues are not part of
+#: the durable snapshot.
+LIVE_PROTOCOLS = ("polyvalue", "blocking", "relaxed", "paxos")
+
 
 def config_for_protocol(
     name: str, base: Optional[ProtocolConfig] = None

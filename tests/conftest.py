@@ -10,6 +10,9 @@ and skipped by default so ``pytest -x -q`` stays fast; CI passes
 ``--runslow`` to execute the full set.
 """
 
+import json
+import socket
+
 import pytest
 
 from repro.txn.config import ProtocolConfig
@@ -96,3 +99,37 @@ def run_to_decision(system, handle, limit=5.0):
     while handle.status is TxnStatus.PENDING and system.sim.now < deadline:
         system.run_for(0.1)
     return handle
+
+
+def open_event_stream(host, port):
+    """Connect to ``/events``; returns (socket, file) past the headers.
+
+    Close the file as well as the socket: the file keeps the
+    connection open until both are closed.
+    """
+    conn = socket.create_connection((host, port), timeout=10.0)
+    conn.sendall(
+        b"GET /events HTTP/1.1\r\n"
+        b"Host: repro\r\nAccept: text/event-stream\r\n\r\n"
+    )
+    stream = conn.makefile("rb")
+    assert b"200" in stream.readline()
+    headers = b""
+    while True:
+        line = stream.readline()
+        headers += line
+        if line in (b"\r\n", b"\n", b""):
+            break
+    assert b"text/event-stream" in headers
+    return conn, stream
+
+
+def read_frames(stream, count):
+    """The next *count* SSE ``data:`` frames on *stream*, decoded."""
+    found = []
+    while len(found) < count:
+        line = stream.readline()
+        assert line, "stream closed"
+        if line.startswith(b"data: "):
+            found.append(json.loads(line[len(b"data: "):]))
+    return found

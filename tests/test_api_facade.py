@@ -6,6 +6,9 @@ keep working but warn, and the two retired cache hooks stay inert.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -48,6 +51,23 @@ def test_facade_identities_match_the_defining_modules():
     assert api.Condition is Condition
     assert api.Polyvalue is Polyvalue
     assert api.DistributedSystem is DistributedSystem
+
+
+def test_import_loads_no_threaded_http_server():
+    """One asyncio HTTP server serves both HTTP surfaces, so importing
+    the facade loads neither ``http.server`` nor what it pulls in."""
+    probe = (
+        "import sys, repro.api; "
+        "print(sorted({'http.server', 'socketserver', 'email.parser'}"
+        " & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_facade_quickstart_runs():

@@ -12,6 +12,7 @@ import asyncio
 import gc
 import json
 import sys
+import urllib.request
 
 import pytest
 
@@ -21,12 +22,15 @@ from repro.live import ClusterThread, LiveCluster, LiveClusterError
 from repro.live.client import poll_txn, request, transfer_script
 from repro.live.wire import encode_envelope
 from repro.net.message import Envelope
+from repro.obs.events import EventBus
 from repro.runtime import AsyncioRuntime
 from repro.txn.config import ProtocolConfig
 from repro.txn.protocol import Complete, OutcomeNotify, Ready
 from repro.txn.timeouts import TimeoutPolicy
 from repro.txn.transaction import TxnStatus
 from repro.workloads.generator import RandomUpdateWorkload, WorkloadConfig
+
+from tests.conftest import open_event_stream, read_frames
 
 
 def fast_config() -> ProtocolConfig:
@@ -771,6 +775,7 @@ class TestHttpApi:
             assert "presumed abort" in outcome["reason"]
 
     def test_http_error_paths(self):
+        move = transfer_script("acct-0", "acct-1", 1)
         with ClusterThread(http=True, sites=2, seed=0) as ct:
             base = f"http://127.0.0.1:{ct.port}"
             for path, method, body, code in [
@@ -781,7 +786,88 @@ class TestHttpApi:
                 ("/crash", "POST", {}, "400"),
                 ("/txn", "POST", {}, "400"),
                 ("/txn", "POST", {"script": {"items": []}}, "400"),
+                # Arguments are checked before the transaction runs: a
+                # rejected request must not have moved anything.
+                ("/txn", "POST", {"script": move, "at": 3}, "400"),
+                ("/txn", "POST", {"script": move, "wait": "yes"}, "400"),
+                ("/txn", "POST", {"script": move, "wait": 1}, "400"),
+            ] + [
+                ("/txn", "POST",
+                 {"script": move, "wait": True, "timeout": timeout}, "400")
+                for timeout in ("abc", [1], None, -1, float("nan"),
+                                float("inf"), True)
             ]:
                 with pytest.raises(Exception) as info:
                     request(base, path, method=method, body=body)
-                assert code in str(info.value)
+                assert code in str(info.value), (path, body)
+                assert request(base, "/item/acct-0")["value"] == 100, body
+
+
+def transfer_body(amount):
+    """A waited-for transfer between acct-0 and acct-1, by direction."""
+    source, target = ("acct-0", "acct-1") if amount % 2 else ("acct-1", "acct-0")
+    return {"script": transfer_script(source, target, amount), "wait": True}
+
+
+class TestClusterObservability:
+    """``/metrics`` and ``/events`` on ``repro serve``, and their cost."""
+
+    def test_an_unwatched_cluster_builds_no_events(self, monkeypatch):
+        emitted = []
+        emit = EventBus.emit
+
+        def counting_emit(bus, name, **fields):
+            emitted.append(name)
+            return emit(bus, name, **fields)
+
+        monkeypatch.setattr(EventBus, "emit", counting_emit)
+        with ClusterThread(http=True, sites=3, seed=5) as ct:
+            base = f"http://127.0.0.1:{ct.port}"
+            committed = 0
+            for amount in range(1, 25):
+                txn = request(base, "/txn", method="POST",
+                              body=transfer_body(amount))
+                committed += txn["status"] == "committed"
+                assert not ct.call(bool, ct.cluster.bus)
+            with urllib.request.urlopen(base + "/metrics", timeout=10) as reply:
+                content_type = reply.headers["Content-Type"]
+                text = reply.read().decode("utf-8")
+        assert committed >= 20
+        assert emitted == []
+        assert content_type == "text/plain; version=0.0.4"
+        reported = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith("repro_transactions_total{")
+            and 'outcome="committed"' in line
+        )
+        assert reported >= committed
+
+    def test_an_events_client_subscribes_the_bus_while_connected(self):
+        with ClusterThread(http=True, sites=3, seed=6) as ct:
+            base = f"http://127.0.0.1:{ct.port}"
+
+            def watched():
+                return ct.call(bool, ct.cluster.bus)
+
+            assert not watched()
+            conn, stream = open_event_stream("127.0.0.1", ct.port)
+            with conn, stream:
+                (hello,) = read_frames(stream, 1)
+                assert hello["name"] == "dash.hello"
+                assert set(hello["state"]["sites"]) == {
+                    "site-0", "site-1", "site-2"
+                }
+                assert watched()
+                txn = request(base, "/txn", method="POST", body=transfer_body(1))
+                assert txn["status"] == "committed"
+                names = set()
+                while "txn.committed" not in names:
+                    (frame,) = read_frames(stream, 1)
+                    names.add(frame["name"])
+                assert frame["txn"] == txn["txn"]
+                assert "msg.send" in names or "site.state" in names
+            deadline = ct.call(lambda: ct.cluster.runtime.now) + 10.0
+            while watched():
+                assert ct.call(lambda: ct.cluster.runtime.now) < deadline
+                ct.run(asyncio.sleep(0.05))

@@ -1,7 +1,8 @@
-"""Tests for the live dashboard (repro.obs.live)."""
+"""Tests for the live dashboard (repro.obs.live) and its SSE broker."""
 
+import asyncio
+import contextlib
 import json
-import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,16 +10,16 @@ import urllib.request
 import pytest
 
 from repro.obs.events import EventBus
-from repro.obs.live import (
-    DASH_PAGE,
-    DashboardServer,
-    LiveState,
-    SSEBroker,
-    serve_dash,
-)
+from repro.obs.httpd import SSEBroker
+from repro.obs.live import DASH_PAGE, DashboardServer, LiveState, serve_dash
 from repro.txn.system import DistributedSystem
 
-from tests.conftest import move, run_to_decision
+from tests.conftest import (
+    move,
+    open_event_stream,
+    read_frames,
+    run_to_decision,
+)
 
 
 class TestLiveState:
@@ -92,32 +93,44 @@ class TestLiveState:
 
 class TestSSEBroker:
     def test_fan_out_and_detach(self):
-        broker = SSEBroker()
-        bus = EventBus()
-        bus.subscribe(broker.on_event)
-        a, b = broker.attach(), broker.attach()
-        assert broker.clients == 2
-        bus.emit("txn.committed", time=0.5, txn="t1")
-        assert json.loads(a.get_nowait())["name"] == "txn.committed"
-        assert json.loads(b.get_nowait())["name"] == "txn.committed"
-        broker.detach(b)
-        bus.emit("txn.aborted", time=0.6, txn="t2")
-        assert json.loads(a.get_nowait())["name"] == "txn.aborted"
-        assert b.empty()
+        async def scenario():
+            broker = SSEBroker()
+            bus = EventBus()
+            broker.follow(bus)
+            assert not bus  # nobody is watching: not subscribed
+            a, b = broker.attach(), broker.attach()
+            assert broker.clients == 2 and bus
+            bus.emit("txn.committed", time=0.5, txn="t1")
+            for client in (a, b):
+                (frame,) = client.frames
+                assert json.loads(frame[len("data: "):])["name"] == (
+                    "txn.committed"
+                )
+                assert client.ready.is_set()
+            broker.detach(b)
+            bus.emit("txn.aborted", time=0.6, txn="t2")
+            assert json.loads(a.frames[-1][len("data: "):])["name"] == (
+                "txn.aborted"
+            )
+            assert len(b.frames) == 1
+            broker.detach(a)
+            assert not bus  # the last client left: unsubscribed again
+
+        asyncio.run(scenario())
 
     def test_slow_client_sheds_oldest_never_blocks(self):
-        broker = SSEBroker(queue_size=3)
-        bus = EventBus()
-        bus.subscribe(broker.on_event)
-        client = broker.attach()
-        for index in range(10):
-            bus.emit("campaign.trial", time=float(index), label="x",
-                     index=index, ok=True)
-        frames = []
-        while not client.empty():
-            frames.append(json.loads(client.get_nowait()))
+        async def scenario():
+            broker = SSEBroker(queue_size=3)
+            bus = EventBus()
+            broker.follow(bus)
+            client = broker.attach()
+            for index in range(10):
+                bus.emit("campaign.trial", time=float(index), label="x",
+                         index=index, ok=True)
+            return [json.loads(frame[len("data: "):]) for frame in client.frames]
+
         # Bounded at 3, keeping the newest frames.
-        assert [frame["index"] for frame in frames] == [7, 8, 9]
+        assert [frame["index"] for frame in asyncio.run(scenario())] == [7, 8, 9]
 
 
 def _get(url, timeout=5.0):
@@ -125,17 +138,35 @@ def _get(url, timeout=5.0):
         return response.status, response.read()
 
 
+@contextlib.contextmanager
+def serving(server):
+    """Run *server* on an event loop of its own thread."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10.0)
+    try:
+        yield server
+    finally:
+        asyncio.run_coroutine_threadsafe(server.close(), loop).result(10.0)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10.0)
+        loop.close()
+
+
 class TestDashboardServer:
     @pytest.fixture()
     def server(self):
-        server = DashboardServer(port=0)  # ephemeral port
-        server.start()
-        yield server
-        server.stop()
+        with serving(DashboardServer(port=0)) as server:  # ephemeral port
+            yield server
 
     def test_healthz_page_and_state(self, server):
-        status, body = _get(server.url + "healthz")
-        assert status == 200 and body == b"ok\n"
+        status, body = _get(server.url + "health")
+        assert status == 200 and json.loads(body)["ok"] is True
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server.url + "healthz")
+        assert excinfo.value.code == 404
+        excinfo.value.close()
         status, body = _get(server.url)
         assert status == 200
         assert b"live campaign telemetry" in body
@@ -148,6 +179,7 @@ class TestDashboardServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "nope")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_state_follows_a_subscribed_system(self, server):
         system = DistributedSystem.build(
@@ -164,38 +196,15 @@ class TestDashboardServer:
     def test_sse_streams_hello_then_live_frames(self, server):
         bus = EventBus()
         server.subscribe(bus)
-        with socket.create_connection(
-            (server.server_address[0], server.port), timeout=5.0
-        ) as conn:
-            conn.sendall(
-                b"GET /events HTTP/1.1\r\n"
-                b"Host: dash\r\nAccept: text/event-stream\r\n\r\n"
-            )
-            conn_file = conn.makefile("rb")
-            status_line = conn_file.readline()
-            assert b"200" in status_line
-            headers = b""
-            while True:
-                line = conn_file.readline()
-                headers += line
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            assert b"text/event-stream" in headers
-
-            def frames(count):
-                found = []
-                while len(found) < count:
-                    line = conn_file.readline()
-                    if line.startswith(b"data: "):
-                        found.append(json.loads(line[len(b"data: "):]))
-                return found
-
-            (hello,) = frames(1)
+        conn, conn_file = open_event_stream(server.host, server.port)
+        with conn, conn_file:
+            (hello,) = read_frames(conn_file, 1)
             assert hello["name"] == "dash.hello"
             assert "state" in hello
+            # Emitted on this thread, handed to the server's loop.
             bus.emit("campaign.trial", time=0.1, label="chaos", index=0,
                      ok=True)
-            (frame,) = frames(1)
+            (frame,) = read_frames(conn_file, 1)
             assert frame["name"] == "campaign.trial"
             assert frame["index"] == 0 and frame["ok"] is True
 
@@ -220,7 +229,7 @@ class TestServeDash:
         thread.start()
         assert ready.wait(timeout=10.0)
         url = captured["url"]
-        status, _ = _get(url + "healthz")
+        status, _ = _get(url + "health")
         assert status == 200
         deadline = threading.Event()
         for _ in range(40):  # wait for the first campaign to land
@@ -237,3 +246,36 @@ class TestServeDash:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown serve-dash scenario"):
             serve_dash(scenario="nope")
+
+    def test_sse_clients_do_not_add_threads(self):
+        ready = threading.Event()
+        captured = {}
+        thread = threading.Thread(
+            target=serve_dash,
+            kwargs=dict(
+                port=0, scenario="demo", seed=3, duration=3.0, ready=ready,
+                on_start=lambda server: captured.update(server=server),
+            ),
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(timeout=10.0)
+        server = captured["server"]
+        before = threading.active_count()
+        with contextlib.ExitStack() as stack:
+            files = []
+            for _ in range(8):
+                conn, conn_file = open_event_stream(server.host, server.port)
+                stack.enter_context(conn)
+                files.append(stack.enter_context(conn_file))
+            for conn_file in files:
+                (hello,) = read_frames(conn_file, 1)
+                assert hello["name"] == "dash.hello"
+            assert server.broker.clients == 8
+            # One loop thread, one driver thread, whatever the clients.
+            assert threading.active_count() <= before
+            # Every client follows the demo's live stream.
+            for conn_file in files:
+                assert read_frames(conn_file, 1)[0]["name"] != "dash.hello"
+        thread.join(timeout=15.0)
+        assert not thread.is_alive()
